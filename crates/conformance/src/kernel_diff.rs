@@ -8,16 +8,16 @@
 //!    is checked against a [`RefInt`] schoolbook oracle reimplemented
 //!    here, on shared seeded random inputs *plus* adversarial edges:
 //!    0, 1, p−1, p, 2p−1 and limb-boundary carry patterns.
-//! 2. **Field layer** — `FpFull`, `FpRed`, the four `SimFp`
-//!    configurations and the `FpBatch` lane kernels (lanes 1..=32) all
-//!    evaluate the same operations, and their **canonical byte
-//!    encodings** (`to_uint().to_le_bytes()`) are diffed pairwise.
+//! 2. **Field layer** — `FpFull`, `FpRed` and the four `SimFp`
+//!    configurations all evaluate the same operations, and their
+//!    **canonical byte encodings** (`to_uint().to_le_bytes()`) are
+//!    diffed pairwise.
 
 use mpise_fp::kernels::{Config, OpKind, Radix};
 use mpise_fp::measure::KernelRunner;
 use mpise_fp::params::{Csidh512, FULL_LIMBS, RED_LIMBS};
 use mpise_fp::simfp::SimFp;
-use mpise_fp::{Fp, FpBatch, FpFull, FpRed};
+use mpise_fp::{Fp, FpFull, FpRed};
 use mpise_mpi::reference::RefInt;
 use mpise_mpi::{mul as mpi_mul, Reduced, U512};
 use rand::rngs::StdRng;
@@ -30,8 +30,6 @@ pub struct KernelDiffOutcome {
     pub combos: u64,
     /// Total input cases diffed across both layers.
     pub cases: u64,
-    /// Distinct batch lane widths exercised (1..=32 → 32).
-    pub lane_widths: u64,
     /// Human-readable divergence descriptions (empty on success).
     pub failures: Vec<String>,
 }
@@ -300,9 +298,9 @@ fn diff_bytes<F1: Fp, F2: Fp>(
 }
 
 /// Field-layer difftest: host backends against each other and against
-/// the four simulator configurations, plus batch lanes 1..=32.
+/// the four simulator configurations.
 ///
-/// `sim_cases` bounds the (slow) simulator comparisons; host and batch
+/// `sim_cases` bounds the (slow) simulator comparisons; host
 /// comparisons always cover the full case list.
 pub fn run_field_layer(cases: usize, sim_cases: usize, seed: u64) -> KernelDiffOutcome {
     let mut outcome = KernelDiffOutcome::default();
@@ -343,62 +341,7 @@ pub fn run_field_layer(cases: usize, sim_cases: usize, seed: u64) -> KernelDiffO
         }
     }
 
-    // Batch kernels: every lane width 1..=32, each lane checked against
-    // the scalar host result byte-for-byte.
-    for lanes in 1..=32usize {
-        outcome.lane_widths += 1;
-        let take = |n: usize| -> Vec<U512> {
-            (0..lanes)
-                .map(|i| inputs[(n + i) % inputs.len()].0)
-                .collect()
-        };
-        let av = take(0);
-        let bv: Vec<U512> = (0..lanes).map(|i| inputs[i % inputs.len()].1).collect();
-        check_batch(&full, "FpFull", &av, &bv, &mut outcome);
-        check_batch(&red, "FpRed", &av, &bv, &mut outcome);
-    }
     outcome
-}
-
-fn check_batch<F: FpBatch>(
-    f: &F,
-    label: &str,
-    av: &[U512],
-    bv: &[U512],
-    out: &mut KernelDiffOutcome,
-) {
-    let scalar = FpFull::new();
-    let s = |v: &U512| scalar.from_uint(v);
-    let a: Vec<F::Elem> = av.iter().map(|v| f.from_uint(v)).collect();
-    let b: Vec<F::Elem> = bv.iter().map(|v| f.from_uint(v)).collect();
-    let lanes = a.len();
-    let mut r = vec![f.zero(); lanes];
-    for name in ["add_n", "sub_n", "mul_n", "sqr_n"] {
-        match name {
-            "add_n" => f.add_n(&a, &b, &mut r),
-            "sub_n" => f.sub_n(&a, &b, &mut r),
-            "mul_n" => f.mul_n(&a, &b, &mut r),
-            _ => f.sqr_n(&a, &mut r),
-        }
-        for i in 0..lanes {
-            out.cases += 1;
-            let got = f.to_uint(&r[i]);
-            let want = match name {
-                "add_n" => scalar.add(&s(&av[i]), &s(&bv[i])),
-                "sub_n" => scalar.sub(&s(&av[i]), &s(&bv[i])),
-                "mul_n" => scalar.mul(&s(&av[i]), &s(&bv[i])),
-                _ => scalar.sqr(&s(&av[i])),
-            };
-            let want = scalar.to_uint(&want);
-            if got.to_le_bytes() != want.to_le_bytes() {
-                out.failures.push(format!(
-                    "batch {label}.{name} lanes={lanes} lane {i}: {} != {}",
-                    got.to_hex(),
-                    want.to_hex()
-                ));
-            }
-        }
-    }
 }
 
 /// Merges two outcomes (kernel layer + field layer) into one.
@@ -406,7 +349,6 @@ pub fn merge(a: KernelDiffOutcome, b: KernelDiffOutcome) -> KernelDiffOutcome {
     KernelDiffOutcome {
         combos: a.combos + b.combos,
         cases: a.cases + b.cases,
-        lane_widths: a.lane_widths + b.lane_widths,
         failures: a.failures.into_iter().chain(b.failures).collect(),
     }
 }
@@ -425,7 +367,6 @@ mod tests {
     #[test]
     fn field_layer_agrees_across_backends() {
         let out = run_field_layer(12, 1, 0xD1FF);
-        assert_eq!(out.lane_widths, 32);
         assert!(out.passed(), "{:?}", out.failures);
     }
 

@@ -12,8 +12,7 @@
 //!   shrinks any divergence to a minimal failing program.
 //! * [`kernel_diff`] — the cross-backend kernel difftest: all 32
 //!   kernel × configuration combinations against a schoolbook oracle,
-//!   plus field-level byte diffs across `FpFull`/`FpRed`/`SimFp` and
-//!   batch lanes 1..=32.
+//!   plus field-level byte diffs across `FpFull`/`FpRed`/`SimFp`.
 //! * [`kat`] — the committed CSIDH-512 known-answer tests (keygen,
 //!   shared-secret agreement, validation accept/reject) under
 //!   `tests/vectors/`.

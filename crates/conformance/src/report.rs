@@ -10,8 +10,7 @@
 //!   "provenance": { "git_commit": "...", ... },
 //!   "modes": {
 //!     "isa_fuzz": { "programs": 100000, "exts": 3, "failures": [] },
-//!     "kernel_difftest": { "combos": 32, "cases": 1234,
-//!                          "lane_widths": 32, "failures": [] },
+//!     "kernel_difftest": { "combos": 32, "cases": 1234, "failures": [] },
 //!     "kat_corpus": { "kat_vectors": 14, "kat_backends": 2,
 //!                     "corpus_files": 7, "failures": [] }
 //!   },
@@ -34,8 +33,6 @@ pub struct GateReport {
     pub kernel_combos: u64,
     /// Total kernel + field cases diffed.
     pub kernel_cases: u64,
-    /// Batch lane widths exercised.
-    pub lane_widths: u64,
     /// Kernel/field divergences.
     pub kernel_failures: Vec<String>,
     /// KAT vectors checked (summed over backends).
@@ -82,11 +79,9 @@ impl GateReport {
             json_strings(&self.fuzz_failures)
         ));
         out.push_str(&format!(
-            "    \"kernel_difftest\": {{\"combos\": {}, \"cases\": {}, \
-             \"lane_widths\": {}, \"failures\": {}}},\n",
+            "    \"kernel_difftest\": {{\"combos\": {}, \"cases\": {}, \"failures\": {}}},\n",
             self.kernel_combos,
             self.kernel_cases,
-            self.lane_widths,
             json_strings(&self.kernel_failures)
         ));
         out.push_str(&format!(

@@ -114,7 +114,7 @@ impl CsidhKeypair {
 }
 
 /// Samples a uniform field element (rejection from 512-bit strings).
-pub(crate) fn random_fp<F: Fp, R: Rng>(f: &F, rng: &mut R) -> F::Elem {
+fn random_fp<F: Fp, R: Rng>(f: &F, rng: &mut R) -> F::Elem {
     let p = &Csidh512::get().p;
     loop {
         let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
@@ -234,7 +234,6 @@ pub fn validate<F: Fp, R: Rng>(f: &F, rng: &mut R, key: &PublicKey) -> bool {
             continue;
         }
         // Accumulate proven order d.
-        let mut order_bits = 2u32; // the factor 4 may or may not be present; be conservative: 1
         let mut proven = U512::ONE;
         for i in 0..NUM_PRIMES {
             let cof = scalar::product((0..NUM_PRIMES).filter(|&j| j != i));
@@ -246,14 +245,12 @@ pub fn validate<F: Fp, R: Rng>(f: &F, rng: &mut R, key: &PublicKey) -> bool {
                     return false;
                 }
                 proven = scalar::mul_u64(&proven, PRIMES[i]);
-                order_bits = proven.bit_length();
                 // d > 4√p once d ≥ 2^259 (p < 2^511 ⇒ 4√p < 2^257.5).
-                if order_bits >= 259 {
+                if proven.bit_length() >= 259 {
                     return true;
                 }
             }
         }
-        let _ = order_bits;
     }
     false
 }

@@ -39,7 +39,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod action;
-pub mod batch;
 pub mod ct_action;
 pub mod elligator;
 pub mod isogeny;
@@ -47,5 +46,4 @@ pub mod mont;
 pub mod scalar;
 
 pub use action::{group_action, validate, CsidhKeypair, PrivateKey, PublicKey};
-pub use batch::{validate_many, xmul_many};
 pub use ct_action::{group_action_ct, CtPrivateKey, CtStats};

@@ -1,4 +1,4 @@
-//! # mpise-engine — the batched CSIDH-512 key-exchange service
+//! # mpise-engine — the multi-worker CSIDH-512 key-exchange service
 //!
 //! The paper (and the crates below this one) accelerate **one**
 //! CSIDH-512 operation at a time. This crate is the serving layer the
@@ -11,21 +11,16 @@
 //!   [`Request::ValidatePublicKey`] through a bounded submission
 //!   queue ([`queue::Bounded`]) and executes them on a configurable
 //!   worker pool — one field-backend instance per worker, generic
-//!   over any [`FpBatch`] backend.
+//!   over any [`Fp`] backend. Each worker pops one job at a time and
+//!   serves it with the scalar `mpise-csidh` routine for its request.
 //! * Every request carries a **deterministic seed**: outcomes depend
-//!   only on `(seed, request)`, never on scheduling, batching or
-//!   worker count (the loadgen determinism test enforces this
-//!   byte-for-byte).
+//!   only on `(seed, request)`, never on scheduling or worker count
+//!   (the loadgen determinism test enforces this byte-for-byte).
 //! * Requests may carry a **deadline** and can be **cancelled**
 //!   through their [`Ticket`]; [`Engine::shutdown`] performs a
 //!   graceful drain — everything already accepted completes, nothing
 //!   is dropped, and later submissions fail with
 //!   [`EngineError::ShutDown`].
-//! * Workers serve `ValidatePublicKey` traffic through the
-//!   lane-parallel batch layer ([`mpise_csidh::batch::validate_many`]
-//!   over [`FpBatch`]): consecutive validation requests are taken
-//!   from the queue front and share lockstep Montgomery-ladder
-//!   kernels.
 //! * [`Engine::stats`] returns an [`EngineStats`] snapshot (per-op
 //!   counts, queue depth, p50/p99 latency, throughput); the
 //!   [`loadgen`] module drives N concurrent clients against the
@@ -36,10 +31,11 @@ pub mod loadgen;
 pub mod queue;
 pub mod stats;
 
-use mpise_csidh::batch::validate_many;
-use mpise_csidh::{CsidhKeypair, PrivateKey, PublicKey};
-use mpise_fp::FpBatch;
+use mpise_csidh::{validate, CsidhKeypair, PrivateKey, PublicKey};
+use mpise_fp::Fp;
 use queue::{Bounded, TryPushError};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use stats::StatsInner;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -141,9 +137,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Bounded submission-queue capacity (back-pressure bound).
     pub queue_capacity: usize,
-    /// Maximum validation requests served per lane-parallel batch;
-    /// `1` disables batching.
-    pub batch_lanes: usize,
 }
 
 impl Default for EngineConfig {
@@ -151,7 +144,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 4,
             queue_capacity: 256,
-            batch_lanes: 16,
         }
     }
 }
@@ -230,14 +222,13 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics when `config.workers` or `config.batch_lanes` is zero.
+    /// Panics when `config.workers` is zero.
     pub fn start<F, B>(config: EngineConfig, backend: B) -> Engine
     where
-        F: FpBatch,
+        F: Fp,
         B: Fn() -> F + Send + Sync + 'static,
     {
         assert!(config.workers > 0, "need at least one worker");
-        assert!(config.batch_lanes > 0, "need at least one batch lane");
         let queue = Arc::new(Bounded::new(config.queue_capacity));
         let stats = Arc::new(StatsInner::new(config.workers));
         let backend = Arc::new(backend);
@@ -246,8 +237,7 @@ impl Engine {
                 let queue = Arc::clone(&queue);
                 let stats = Arc::clone(&stats);
                 let backend = Arc::clone(&backend);
-                let lanes = config.batch_lanes;
-                std::thread::spawn(move || worker_loop(backend(), &queue, &stats, lanes, worker))
+                std::thread::spawn(move || worker_loop(backend(), &queue, &stats, worker))
             })
             .collect();
         Engine {
@@ -389,18 +379,6 @@ impl Engine {
             &[],
         )
         .set(s.cancelled);
-        reg.counter(
-            "mpise_engine_validate_batches_total",
-            "Lane-parallel validation batches executed",
-            &[],
-        )
-        .set(s.batches);
-        reg.counter(
-            "mpise_engine_batched_requests_total",
-            "Validation requests served through batches",
-            &[],
-        )
-        .set(s.batched_requests);
         reg.gauge(
             "mpise_engine_queue_depth",
             "Requests queued but not yet claimed",
@@ -413,14 +391,6 @@ impl Engine {
             &[],
         )
         .set(s.throughput_rps);
-        if let Some(w) = s.mean_batch_width() {
-            reg.gauge(
-                "mpise_engine_mean_batch_width",
-                "Mean lanes per validation batch",
-                &[],
-            )
-            .set(w);
-        }
         let worker_help = "Jobs answered, by worker";
         for (i, &n) in s.worker_completed.iter().enumerate() {
             let id = i.to_string();
@@ -507,31 +477,10 @@ fn refusal(job: &Job) -> Option<EngineError> {
     None
 }
 
-fn worker_loop<F: FpBatch>(
-    f: F,
-    queue: &Bounded<Job>,
-    stats: &StatsInner,
-    lanes: usize,
-    worker: usize,
-) {
+fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, worker: usize) {
     while let Some(job) = queue.pop() {
-        let answered = if matches!(job.request, Request::ValidatePublicKey { .. }) {
-            // Take a run of validation requests from the queue front:
-            // independent requests share lockstep ladder kernels.
-            let mut batch = vec![job];
-            if lanes > 1 {
-                batch.extend(queue.drain_front_matching(lanes - 1, |j| {
-                    matches!(j.request, Request::ValidatePublicKey { .. })
-                }));
-            }
-            let n = batch.len() as u64;
-            run_validate_batch(&f, batch, stats);
-            n
-        } else {
-            run_single(&f, job, stats);
-            1
-        };
-        stats.worker_completed[worker].fetch_add(answered, Ordering::Relaxed);
+        run_job(&f, job, stats);
+        stats.worker_completed[worker].fetch_add(1, Ordering::Relaxed);
     }
     // Spans are thread-local; hand this worker's finished tree to the
     // engine before the thread exits.
@@ -541,13 +490,11 @@ fn worker_loop<F: FpBatch>(
     }
 }
 
-fn run_single<F: FpBatch>(f: &F, job: Job, stats: &StatsInner) {
+fn run_job<F: Fp>(f: &F, job: Job, stats: &StatsInner) {
     if let Some(err) = refusal(&job) {
         respond(stats, &job, Err(err));
         return;
     }
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(job.seed);
     let outcome = match job.request {
         Request::Keygen { bound } => {
@@ -561,41 +508,9 @@ fn run_single<F: FpBatch>(f: &F, job: Job, stats: &StatsInner) {
             private,
             their_public,
         } => Outcome::SharedSecret(private.shared_secret(f, &mut rng, &their_public)),
-        Request::ValidatePublicKey { key } => {
-            Outcome::Validated(validate_many(f, &[key], &[job.seed])[0])
-        }
+        Request::ValidatePublicKey { key } => Outcome::Validated(validate(f, &mut rng, &key)),
     };
     respond(stats, &job, Ok(outcome));
-}
-
-fn run_validate_batch<F: FpBatch>(f: &F, batch: Vec<Job>, stats: &StatsInner) {
-    // Refusals answered up front; survivors share the batch.
-    let mut live: Vec<Job> = Vec::with_capacity(batch.len());
-    for job in batch {
-        match refusal(&job) {
-            Some(err) => respond(stats, &job, Err(err)),
-            None => live.push(job),
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    let keys: Vec<PublicKey> = live
-        .iter()
-        .map(|j| match j.request {
-            Request::ValidatePublicKey { key } => key,
-            _ => unreachable!("batch contains only validation requests"),
-        })
-        .collect();
-    let seeds: Vec<u64> = live.iter().map(|j| j.seed).collect();
-    let verdicts = validate_many(f, &keys, &seeds);
-    stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats
-        .batched_requests
-        .fetch_add(live.len() as u64, Ordering::Relaxed);
-    for (job, verdict) in live.iter().zip(verdicts) {
-        respond(stats, job, Ok(Outcome::Validated(verdict)));
-    }
 }
 
 #[cfg(test)]
@@ -659,11 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn validations_batch_and_answer_in_order() {
+    fn validations_answer_in_order() {
         let engine = Engine::start(
             EngineConfig {
                 workers: 1,
-                batch_lanes: 8,
                 ..Default::default()
             },
             FpFull::new,
@@ -678,10 +592,7 @@ mod tests {
         for t in tickets {
             assert_eq!(t.wait().unwrap(), Outcome::Validated(false));
         }
-        let stats = engine.stats();
-        assert_eq!(stats.validate, 12);
-        assert_eq!(stats.batched_requests, 12);
-        assert!(stats.batches <= 12);
+        assert_eq!(engine.stats().validate, 12);
         engine.shutdown();
     }
 

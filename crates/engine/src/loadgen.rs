@@ -16,8 +16,8 @@
 //!   small hosts;
 //! * **determinism** — both passes must produce byte-identical result
 //!   payloads (shared secrets, public keys, verdicts): outcomes
-//!   depend only on per-request seeds, never on worker count,
-//!   batching or scheduling.
+//!   depend only on per-request seeds, never on worker count or
+//!   scheduling.
 //!
 //! All request seeds derive from one base seed via SplitMix64, so two
 //! runs with the same options are byte-identical end to end (the
@@ -50,9 +50,6 @@ pub struct LoadgenOptions {
     pub clients: usize,
     /// Requests each client submits.
     pub requests_per_client: usize,
-    /// Engine batch lanes (same in both passes — the gate isolates
-    /// the worker count).
-    pub batch_lanes: usize,
     /// Base seed for the deterministic request mix.
     pub seed: u64,
     /// CI-sized run: smaller mix, no expensive keygen requests.
@@ -74,7 +71,6 @@ impl Default for LoadgenOptions {
             baseline_workers: 1,
             clients: 4,
             requests_per_client: 6,
-            batch_lanes: 8,
             seed: LOADGEN_SEED,
             smoke: false,
             out: None,
@@ -149,8 +145,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The deterministic request plan for one `(client, index)` slot:
-/// validation-heavy (so lane batching has traffic to merge), with a
-/// derivation stripe and — outside smoke mode — an occasional keygen.
+/// validation-heavy, with a derivation stripe and — outside smoke mode — an occasional keygen.
 pub fn plan_request(
     base_seed: u64,
     client: usize,
@@ -213,7 +208,6 @@ pub fn run_pass(workers: usize, opts: &LoadgenOptions, fixtures: &Fixtures) -> P
         EngineConfig {
             workers,
             queue_capacity: (opts.clients * opts.requests_per_client).max(16),
-            batch_lanes: opts.batch_lanes,
         },
         FpFull::new,
     );
@@ -384,7 +378,7 @@ pub fn run(opts: &LoadgenOptions) -> LoadReport {
     }
 }
 
-/// `Option` latency/width fields serialize as JSON `null` when absent
+/// `Option` latency fields serialize as JSON `null` when absent
 /// (an idle pass measured nothing; `0` would read as a measurement).
 fn json_opt_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_owned(), |x| x.to_string())
@@ -396,7 +390,6 @@ fn pass_json(pass: &PassResult) -> String {
          \"elapsed_secs\": {:.4}, \"requests_per_sec\": {:.4}, \
          \"keygen\": {}, \"derive\": {}, \"validate\": {}, \
          \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}, \
-         \"batches\": {}, \"batched_requests\": {}, \"mean_batch_width\": {}, \
          \"worker_completed\": [{}]}}",
         pass.workers,
         pass.requests,
@@ -410,11 +403,6 @@ fn pass_json(pass: &PassResult) -> String {
         json_opt_u64(pass.stats.p50_us),
         json_opt_u64(pass.stats.p99_us),
         json_opt_u64(pass.stats.max_us),
-        pass.stats.batches,
-        pass.stats.batched_requests,
-        pass.stats
-            .mean_batch_width()
-            .map_or_else(|| "null".to_owned(), |w| format!("{w:.3}")),
         pass.stats
             .worker_completed
             .iter()
@@ -443,11 +431,10 @@ pub fn report_json(report: &LoadReport) -> String {
     ));
     out.push_str(&format!(
         "  \"seed\": {},\n  \"clients\": {},\n  \"requests_per_client\": {},\n  \
-         \"batch_lanes\": {},\n  \"host_parallelism\": {},\n",
+         \"host_parallelism\": {},\n",
         report.options.seed,
         report.options.clients,
         report.options.requests_per_client,
-        report.options.batch_lanes,
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
@@ -544,10 +531,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                 Ok(v) => opts.requests_per_client = v.max(1),
                 Err(code) => return code,
             },
-            "--lanes" => match parse_usize("--lanes") {
-                Ok(v) => opts.batch_lanes = v.max(1),
-                Err(code) => return code,
-            },
             "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(v) => opts.seed = v,
                 None => {
@@ -579,7 +562,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: loadgen [--smoke] [--workers N] [--baseline-workers N] \
-                     [--clients N] [--requests N] [--lanes N] [--seed N] [--out PATH] \
+                     [--clients N] [--requests N] [--seed N] [--out PATH] \
                      [--metrics-out PATH] [--obs-out PATH]\n\
                      \n\
                      Runs the deterministic client mix against a 1-worker baseline\n\

@@ -1,17 +1,14 @@
 //! The bounded submission queue under the worker pool.
 //!
 //! A plain `Mutex<VecDeque> + Condvar` multi-producer/multi-consumer
-//! channel with three properties the engine needs that `std::sync::
+//! channel with two properties the engine needs that `std::sync::
 //! mpsc` does not provide:
 //!
 //! * **bounded with blocking producers** — clients exert back-pressure
 //!   instead of growing an unbounded backlog;
 //! * **close-then-drain** — [`Bounded::close`] refuses new items but
 //!   lets consumers pop everything already queued (graceful-drain
-//!   shutdown: no submitted request is ever dropped);
-//! * **front batching** — [`Bounded::drain_front_matching`] lets a
-//!   worker opportunistically take a run of batchable requests from
-//!   the front of the queue without blocking or reordering.
+//!   shutdown: no submitted request is ever dropped).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -115,26 +112,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Takes up to `max` additional items from the front while they
-    /// satisfy `pred`, without blocking or skipping over non-matching
-    /// items (batching never reorders the queue).
-    pub fn drain_front_matching(&self, max: usize, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        let mut out = Vec::new();
-        while out.len() < max {
-            match inner.items.front() {
-                Some(front) if pred(front) => {
-                    out.push(inner.items.pop_front().expect("front exists"));
-                }
-                _ => break,
-            }
-        }
-        if !out.is_empty() {
-            self.not_full.notify_all();
-        }
-        out
-    }
-
     /// Closes the queue: every subsequent push fails, every blocked
     /// producer wakes with an error, and consumers drain what remains.
     /// Idempotent.
@@ -195,29 +172,6 @@ mod tests {
         let q = Bounded::new(1);
         q.try_push(1).unwrap();
         assert_eq!(q.try_push(2), Err(TryPushError::Full(2)));
-    }
-
-    #[test]
-    fn drain_front_matching_stops_at_first_mismatch() {
-        let q = Bounded::new(8);
-        for i in [2, 4, 6, 7, 8] {
-            q.push(i).unwrap();
-        }
-        let even = q.drain_front_matching(10, |x| x % 2 == 0);
-        assert_eq!(even, vec![2, 4, 6]);
-        // 8 stays behind 7: batching never reorders.
-        assert_eq!(q.pop(), Some(7));
-        assert_eq!(q.pop(), Some(8));
-    }
-
-    #[test]
-    fn drain_front_matching_respects_max() {
-        let q = Bounded::new(8);
-        for i in 0..6 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.drain_front_matching(2, |_| true), vec![0, 1]);
-        assert_eq!(q.len(), 4);
     }
 
     #[test]

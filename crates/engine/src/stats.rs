@@ -16,8 +16,6 @@ pub(crate) struct StatsInner {
     pub(crate) validate: AtomicU64,
     pub(crate) expired: AtomicU64,
     pub(crate) cancelled: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
     /// Jobs answered per worker, indexed by worker id.
     pub(crate) worker_completed: Vec<AtomicU64>,
     pub(crate) latencies_us: Mutex<Vec<u64>>,
@@ -37,8 +35,6 @@ impl StatsInner {
             validate: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
             worker_completed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             latencies_us: Mutex::new(Vec::new()),
             spans: Mutex::new(mpise_obs::SpanTree::default()),
@@ -55,7 +51,9 @@ impl StatsInner {
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize) -> EngineStats {
-        let latencies = self.latencies_us.lock().expect("stats lock").clone();
+        // One copy of the log, sorted once, serves every percentile.
+        let mut latencies = self.latencies_us.lock().expect("stats lock").clone();
+        latencies.sort_unstable();
         let completed = self.keygen.load(Ordering::Relaxed)
             + self.derive.load(Ordering::Relaxed)
             + self.validate.load(Ordering::Relaxed);
@@ -69,8 +67,6 @@ impl StatsInner {
             validate: self.validate.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
             worker_completed: self
                 .worker_completed
                 .iter()
@@ -79,7 +75,7 @@ impl StatsInner {
             queue_depth,
             p50_us: percentile(&latencies, 50.0),
             p99_us: percentile(&latencies, 99.0),
-            max_us: latencies.iter().copied().max(),
+            max_us: latencies.last().copied(),
             elapsed_secs,
             throughput_rps: if elapsed_secs > 0.0 {
                 completed as f64 / elapsed_secs
@@ -90,14 +86,12 @@ impl StatsInner {
     }
 }
 
-/// Nearest-rank percentile over the recorded latencies (`None` when the
-/// series is empty — an idle engine has no latency, not a zero one).
-fn percentile(samples: &[u64], pct: f64) -> Option<u64> {
-    if samples.is_empty() {
+/// Nearest-rank percentile over ascending-sorted latencies (`None` when
+/// the series is empty — an idle engine has no latency, not a zero one).
+fn percentile(sorted: &[u64], pct: f64) -> Option<u64> {
+    if sorted.is_empty() {
         return None;
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
     let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
     Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
@@ -121,11 +115,6 @@ pub struct EngineStats {
     pub expired: u64,
     /// Requests cancelled before a worker took them.
     pub cancelled: u64,
-    /// Validation batches executed on the lane-parallel path
-    /// (including width-1 batches).
-    pub batches: u64,
-    /// Validation requests served through those batches.
-    pub batched_requests: u64,
     /// Jobs answered per worker, indexed by worker id. Refusals count
     /// too, so the entries sum to `completed + expired + cancelled`.
     pub worker_completed: Vec<u64>,
@@ -146,19 +135,6 @@ pub struct EngineStats {
     pub throughput_rps: f64,
 }
 
-impl EngineStats {
-    /// Mean lanes per validation batch; `None` on an idle engine (no
-    /// batches ran, so there is no width to report — the old `1.0`
-    /// placeholder read as a measured value).
-    pub fn mean_batch_width(&self) -> Option<f64> {
-        if self.batches == 0 {
-            None
-        } else {
-            Some(self.batched_requests as f64 / self.batches as f64)
-        }
-    }
-}
-
 impl std::fmt::Display for EngineStats {
     fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -171,14 +147,6 @@ impl std::fmt::Display for EngineStats {
             "dropped:  {} rejected, {} expired, {} cancelled; queue depth {}",
             self.rejected, self.expired, self.cancelled, self.queue_depth
         )?;
-        match self.mean_batch_width() {
-            Some(w) => writeln!(
-                out,
-                "batching: {} batches over {} validations (mean width {w:.2})",
-                self.batches, self.batched_requests
-            )?,
-            None => writeln!(out, "batching: none")?,
-        }
         let ms = |v: Option<u64>| match v {
             Some(us) => format!("{:.3} ms", us as f64 / 1e3),
             None => "n/a".to_owned(),
@@ -225,28 +193,17 @@ mod tests {
     }
 
     #[test]
-    fn idle_engine_reports_no_latency_or_batch_width() {
-        // Regression: an idle engine used to report p50 = p99 = max = 0
-        // and a fabricated mean batch width of 1.0, indistinguishable
-        // from real measurements of a fast engine.
+    fn idle_engine_reports_no_latency() {
+        // Regression: an idle engine used to report p50 = p99 = max = 0,
+        // indistinguishable from real measurements of a fast engine.
         let s = StatsInner::new(2);
         let snap = s.snapshot(0);
         assert_eq!(snap.p50_us, None);
         assert_eq!(snap.p99_us, None);
         assert_eq!(snap.max_us, None);
-        assert_eq!(snap.mean_batch_width(), None);
         assert_eq!(snap.completed, 0);
         let text = snap.to_string();
-        assert!(text.contains("batching: none"));
         assert!(text.contains("p50 n/a"));
-    }
-
-    #[test]
-    fn batch_width_mean() {
-        let s = StatsInner::new(1);
-        s.batches.store(4, Ordering::Relaxed);
-        s.batched_requests.store(10, Ordering::Relaxed);
-        assert_eq!(s.snapshot(0).mean_batch_width(), Some(2.5));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Engine determinism: two loadgen passes with the same seed must
 //! produce byte-identical result payloads, regardless of worker count
-//! or batch composition.
+//! or scheduling.
 
 use mpise_csidh::{PrivateKey, PublicKey};
 use mpise_engine::loadgen::{run_pass, Fixtures, LoadgenOptions};
@@ -26,7 +26,6 @@ fn options() -> LoadgenOptions {
         workers: 2,
         clients: 2,
         requests_per_client: 2,
-        batch_lanes: 4,
         seed: 0xD00D,
         smoke: true,
         ..Default::default()

@@ -46,7 +46,6 @@ fn inflight_requests_complete_during_drain() {
     let engine = Engine::start(
         EngineConfig {
             workers: 1,
-            batch_lanes: 1,
             ..Default::default()
         },
         FpFull::new,
@@ -95,7 +94,6 @@ fn cancelled_ticket_is_refused_at_claim_time() {
     let engine = Engine::start(
         EngineConfig {
             workers: 1,
-            batch_lanes: 1,
             ..Default::default()
         },
         FpFull::new,

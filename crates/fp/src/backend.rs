@@ -357,22 +357,6 @@ impl<F> CountingFp<F> {
     pub fn inner(&self) -> &F {
         &self.inner
     }
-
-    pub(crate) fn counter_add(&self) -> &AtomicU64 {
-        &self.add
-    }
-
-    pub(crate) fn counter_sub(&self) -> &AtomicU64 {
-        &self.sub
-    }
-
-    pub(crate) fn counter_mul(&self) -> &AtomicU64 {
-        &self.mul
-    }
-
-    pub(crate) fn counter_sqr(&self) -> &AtomicU64 {
-        &self.sqr
-    }
 }
 
 impl<F: Fp> Fp for CountingFp<F> {

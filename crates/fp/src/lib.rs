@@ -8,10 +8,6 @@
 //! * [`backend`]: the [`backend::Fp`] trait and the two host-speed
 //!   backends ([`backend::FpFull`] on radix-2^64,
 //!   [`backend::FpRed`] on radix-2^57), plus an op-counting adapter;
-//! * [`batch`]: the [`batch::FpBatch`] lane-parallel extension —
-//!   element-wise `add_n`/`sub_n`/`mul_n`/`sqr_n` over 8–32
-//!   independent lanes, hand-batched for both host backends (the
-//!   engine's worker pool drives these);
 //! * [`kernels`]: generators that emit the fully unrolled RV64
 //!   assembly kernels for every Table 4 operation in all four
 //!   configurations (full/reduced radix × ISA-only/ISE-supported) —
@@ -29,7 +25,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod backend;
-pub mod batch;
 pub mod ctspec;
 pub mod kernels;
 pub mod measure;
@@ -37,5 +32,4 @@ pub mod params;
 pub mod simfp;
 
 pub use backend::{CountingFp, Fp, FpFull, FpRed, OpCounts};
-pub use batch::{FpBatch, ScalarFallback};
 pub use params::Csidh512;

@@ -1,4 +1,4 @@
-//! Key service: the batched multi-worker key-exchange engine.
+//! Key service: the multi-worker key-exchange engine.
 //!
 //! ```text
 //! cargo run --release --example key_service
@@ -7,9 +7,8 @@
 //! Starts a four-worker engine over the host full-radix backend,
 //! submits a mixed workload (key generation, shared-secret derivation
 //! and public-key validation) from the client side, and prints the
-//! engine's statistics snapshot — operation counts, batching, latency
-//! percentiles and throughput. Validation requests queued together are
-//! served lane-parallel through the `FpBatch` kernels.
+//! engine's statistics snapshot — operation counts, latency
+//! percentiles and throughput.
 //!
 //! The example also turns on the `mpise-obs` telemetry layer and
 //! finishes with a `/metrics`-style Prometheus dump plus the
@@ -32,15 +31,13 @@ fn main() {
         EngineConfig {
             workers: 4,
             queue_capacity: 64,
-            batch_lanes: 8,
         },
         FpFull::new,
     );
     println!(
-        "engine up: {} workers, queue capacity {}, {} batch lanes",
+        "engine up: {} workers, queue capacity {}",
         engine.config().workers,
-        engine.config().queue_capacity,
-        engine.config().batch_lanes
+        engine.config().queue_capacity
     );
 
     // A peer key pair prepared client-side, so the workload includes a
@@ -69,8 +66,7 @@ fn main() {
             None,
         ),
     ));
-    // A burst of validations: adjacent requests batch into the
-    // lane-parallel path.
+    // A burst of validations, spread over the workers.
     for seed in 3..9 {
         tickets.push((
             "validate",
