@@ -10,12 +10,17 @@
 //!   with the Montgomery contexts;
 //! * **radix equality** — the full-radix and reduced-radix backends
 //!   must agree, byte for byte, on 10 000 seeded random elements per
-//!   radix-pair operation.
+//!   radix-pair operation;
+//! * **reduction edges** — both Montgomery contexts' `redc` on the
+//!   products that stress its carries (`0`, `(p − 1)²` and
+//!   `p·R − 1`, the largest valid input), and `sqr(a) = mul(a, a)` at
+//!   `0`, `1`, `p − 1` and `R mod p`, checked against [`RefInt`].
 
 use mpise_fp::params::Csidh512;
 use mpise_fp::{Fp, FpFull, FpRed};
+use mpise_mpi::reduced::MASK;
 use mpise_mpi::reference::RefInt;
-use mpise_mpi::U512;
+use mpise_mpi::{Reduced, Uint, U512};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -131,5 +136,95 @@ fn full_and_reduced_radix_agree_on_10k_seeded_elements() {
             "radix disagreement on element {i}"
         );
         prev = cur;
+    }
+}
+
+/// `R = 2^(64·8)` for the full radix, `2^(57·9)` for the reduced one.
+const R_BITS_FULL: usize = 512;
+const R_BITS_RED: usize = 513;
+
+fn ref_p() -> RefInt {
+    RefInt::from_limbs(Csidh512::get().p.limbs())
+}
+
+/// The value of little-endian limbs of `bits` bits each.
+fn ref_from_radix(limbs: &[u64], bits: usize) -> RefInt {
+    limbs.iter().rev().fold(RefInt::zero(), |acc, &l| {
+        acc.shl(bits).add(&RefInt::from_u64(l))
+    })
+}
+
+/// `r` is `t·R^{-1} mod p` iff `r < p` and `r·R ≡ t (mod p)`.
+fn assert_is_redc(r: &U512, t: &RefInt, r_bits: usize) {
+    let p = ref_p();
+    assert!(*r < Csidh512::get().p, "redc result {r} is not below p");
+    assert_eq!(RefInt::from_limbs(r.limbs()).shl(r_bits).rem(&p), t.rem(&p));
+}
+
+fn full_redc_case(t: &RefInt) {
+    let limbs = t.to_limbs(16);
+    let lo = U512::from_limbs(limbs[..8].try_into().expect("8 limbs"));
+    let hi = U512::from_limbs(limbs[8..].try_into().expect("8 limbs"));
+    assert_is_redc(&Csidh512::get().mont.redc(&lo, &hi), t, R_BITS_FULL);
+}
+
+fn red_redc_case(t57: &[u64; 18]) {
+    let r = Csidh512::get().mont57.redc(t57);
+    assert!(r.is_canonical());
+    assert_is_redc(&r.to_uint(), &ref_from_radix(t57, 57), R_BITS_RED);
+}
+
+/// 18 canonical 57-bit limbs of `t < 2^1026`.
+fn to_radix57(t: &RefInt) -> [u64; 18] {
+    let full = Uint::<16>::from_limbs(t.to_limbs(16).try_into().expect("16 limbs"));
+    *Reduced::<18>::from_uint(&full).limbs()
+}
+
+#[test]
+fn full_radix_redc_carry_edges() {
+    let p = ref_p();
+    let pm1 = p.sub(&RefInt::one());
+    full_redc_case(&RefInt::zero());
+    full_redc_case(&pm1.mul(&pm1));
+    // t_hi = p − 1, t_lo = 2^512 − 1: t = p·R − 1.
+    let t = p.shl(R_BITS_FULL).sub(&RefInt::one());
+    assert_eq!(&t.to_limbs(16)[..8], &[u64::MAX; 8]);
+    full_redc_case(&t);
+}
+
+#[test]
+fn reduced_radix_redc_carry_edges() {
+    let p = ref_p();
+    let pm1 = p.sub(&RefInt::one());
+    red_redc_case(&[0; 18]);
+    red_redc_case(&to_radix57(&pm1.mul(&pm1)));
+    // t_hi = p − 1, t_lo = 2^513 − 1 (every low limb 2^57 − 1).
+    let mut t = [MASK; 18];
+    t[9..].copy_from_slice(
+        Reduced::<9>::from_uint(&Csidh512::get().p.wrapping_sub(&U512::ONE)).limbs(),
+    );
+    assert_eq!(
+        ref_from_radix(&t, 57),
+        p.shl(R_BITS_RED).sub(&RefInt::one())
+    );
+    red_redc_case(&t);
+}
+
+#[test]
+fn sqr_equals_mul_self_at_edges() {
+    let c = Csidh512::get();
+    let pm1 = c.p.wrapping_sub(&U512::ONE);
+    for a in [U512::ZERO, U512::ONE, pm1, *c.mont.one()] {
+        let s = c.mont.sqr(&a);
+        assert_eq!(s, c.mont.mul(&a, &a), "full radix, a = {a}");
+        let ra = RefInt::from_limbs(a.limbs());
+        assert_is_redc(&s, &ra.mul(&ra), R_BITS_FULL);
+    }
+    let red_pm1 = Reduced::from_uint(&pm1);
+    for a in [Reduced::ZERO, Reduced::ONE, red_pm1, *c.mont57.one()] {
+        let s = c.mont57.sqr(&a);
+        assert_eq!(s, c.mont57.mul(&a, &a), "reduced radix, a = {a:?}");
+        let ra = ref_from_radix(a.limbs(), 57);
+        assert_is_redc(&s.to_uint(), &ra.mul(&ra), R_BITS_RED);
     }
 }

@@ -2,9 +2,16 @@
 //! representation (§3, "we implemented this operation through
 //! Montgomery multiplication, which is a common choice for moduli that
 //! do not have a special form").
+//!
+//! [`MontCtx::mul`] is the integrated (CIOS) form and the only host
+//! Montgomery multiplication; [`MontCtx::sqr`] is `mul(a, a)`. The
+//! separated form, product scanning followed by [`MontCtx::redc`],
+//! stays reachable as `redc(mul_ps(a, b))` for the §3.1 comparison and
+//! the per-layer benchmarks. Every routine here works on fixed-size
+//! stack arrays, never allocates, and has no branch or loop bound that
+//! depends on the operands.
 
 use crate::fast::{fast_reduce_swap, mod_add};
-use crate::mul::{mul_ps, square_ps};
 use crate::uint::Uint;
 use std::fmt;
 
@@ -125,38 +132,86 @@ impl<const L: usize> MontCtx<L> {
     /// returns `t·R^{-1} mod p` in `[0, p − 1]`. Constant time.
     ///
     /// This is the operation of the paper's "Montgomery reduction" row
-    /// in Table 4.
+    /// in Table 4, and with [`mul_ps`](crate::mul::mul_ps) the
+    /// separated form of Montgomery multiplication.
+    ///
+    /// It works on two stack halves: the window `w` holds `t`'s `L`
+    /// live words and `t_hi` supplies the rest. Each row adds `m·p`,
+    /// drops the zero low word and shifts in the next word of `t_hi`.
+    /// The one-bit overflow of the top word is carried to the next row
+    /// instead of being propagated through the whole number.
     pub fn redc(&self, t_lo: &Uint<L>, t_hi: &Uint<L>) -> Uint<L> {
-        let mut t = vec![0u64; 2 * L + 1];
-        t[..L].copy_from_slice(t_lo.limbs());
-        t[L..2 * L].copy_from_slice(t_hi.limbs());
+        let p = self.p.limbs();
+        let mut w = *t_lo.limbs();
+        let mut extra = 0u64; // the word above the window: 0 or 1
+        for &hi in t_hi.limbs() {
+            let m = w[0].wrapping_mul(self.p_inv);
+            let wide = w[0] as u128 + m as u128 * p[0] as u128;
+            let mut carry = (wide >> 64) as u64;
+            for j in 1..L {
+                let wide = w[j] as u128 + m as u128 * p[j] as u128 + carry as u128;
+                w[j - 1] = wide as u64;
+                carry = (wide >> 64) as u64;
+            }
+            let wide = hi as u128 + carry as u128 + extra as u128;
+            w[L - 1] = wide as u64;
+            extra = (wide >> 64) as u64;
+        }
+        self.sub_p_once(&w, extra)
+    }
 
-        for i in 0..L {
-            let m = t[i].wrapping_mul(self.p_inv);
+    /// Montgomery multiplication `a·b·R^{-1} mod p` for residues in
+    /// `[0, p − 1]`, in the Coarsely Integrated Operand Scanning (CIOS)
+    /// form of Koç–Acar–Kaliski: each row adds `a·b[i]` and then one
+    /// reduction step, so the running value never exceeds `L + 1`
+    /// words. Constant time.
+    ///
+    /// §3.1 observes that with a large register file and full
+    /// unrolling, the separated and integrated techniques "are very
+    /// similar in performance"; the separated form is
+    /// `redc(mul_ps(a, b))`, with identical results.
+    pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        let (a, p) = (a.limbs(), self.p.limbs());
+        let mut t = [0u64; L];
+        let mut extra = 0u64; // the word above t: 0 or 1 between rows
+        for &bi in b.limbs() {
+            // t += a·b[i]
             let mut carry = 0u64;
             for j in 0..L {
-                let wide = t[i + j] as u128 + m as u128 * self.p.limb(j) as u128 + carry as u128;
-                t[i + j] = wide as u64;
+                let wide = t[j] as u128 + a[j] as u128 * bi as u128 + carry as u128;
+                t[j] = wide as u64;
                 carry = (wide >> 64) as u64;
             }
-            // Propagate the column carry upwards.
-            let mut k = i + L;
-            while carry != 0 {
-                let wide = t[k] as u128 + carry as u128;
-                t[k] = wide as u64;
+            let (top, top_carry) = extra.overflowing_add(carry);
+
+            // m = t[0]·p' mod 2^64; t = (t + m·p) / 2^64
+            let m = t[0].wrapping_mul(self.p_inv);
+            let wide = t[0] as u128 + m as u128 * p[0] as u128;
+            let mut carry = (wide >> 64) as u64;
+            for j in 1..L {
+                let wide = t[j] as u128 + m as u128 * p[j] as u128 + carry as u128;
+                t[j - 1] = wide as u64;
                 carry = (wide >> 64) as u64;
-                k += 1;
             }
+            let wide = top as u128 + carry as u128;
+            t[L - 1] = wide as u64;
+            extra = top_carry as u64 + (wide >> 64) as u64;
         }
-        debug_assert!(t[..L].iter().all(|&w| w == 0));
+        self.sub_p_once(&t, extra)
+    }
 
-        let mut r_limbs = [0u64; L];
-        r_limbs.copy_from_slice(&t[L..2 * L]);
-        let r = Uint::from_limbs(r_limbs);
-        let extra = t[2 * L]; // 0 or 1: the 2^(64L) overflow bit
+    /// Montgomery squaring: [`MontCtx::mul`] with both operands `a`.
+    /// The dedicated product-scanning squaring followed by `redc`
+    /// measures slower on the host than the integrated loop, so
+    /// squaring shares it.
+    pub fn sqr(&self, a: &Uint<L>) -> Uint<L> {
+        self.mul(a, a)
+    }
 
-        // Result value is extra·2^(64L) + r < 2p. Subtract p when the
-        // value is ≥ p, in constant time.
+    /// Maps `extra·2^(64L) + t < 2p` into `[0, p − 1]` with one
+    /// constant-time conditional subtraction.
+    fn sub_p_once(&self, t: &[u64; L], extra: u64) -> Uint<L> {
+        let r = Uint::from_limbs(*t);
         let (sub, borrow) = r.sbb(&self.p, 0);
         // If extra == 1 the true value is ≥ 2^(64L) > p: always subtract
         // (the borrow is "paid" by the extra bit). Otherwise subtract
@@ -165,69 +220,6 @@ impl<const L: usize> MontCtx<L> {
         let mut out = [0u64; L];
         crate::ct::select_limbs(keep_sub, sub.limbs(), r.limbs(), &mut out);
         Uint::from_limbs(out)
-    }
-
-    /// Montgomery multiplication: `a·b·R^{-1} mod p` for residues in
-    /// `[0, p − 1]`. Constant time. Separated form: product scanning
-    /// followed by [`MontCtx::redc`].
-    pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        let (lo, hi) = mul_ps(a, b);
-        self.redc(&lo, &hi)
-    }
-
-    /// Montgomery multiplication in the Coarsely Integrated Operand
-    /// Scanning (CIOS) form of Koç–Acar–Kaliski: multiplication rows
-    /// and reduction steps interleaved in one loop nest.
-    ///
-    /// §3.1 observes that with a large register file and full
-    /// unrolling, the separated and integrated techniques "are very
-    /// similar in performance"; this variant exists so that claim can
-    /// be benchmarked (see the `mpi_ops` bench). Identical results to
-    /// [`MontCtx::mul`].
-    pub fn mul_cios(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        let mut tl = [0u64; L];
-        let (mut t_hi, mut t_hi2) = (0u64, 0u64); // the two overflow words
-        for i in 0..L {
-            // t += a * b[i]
-            let bi = b.limb(i);
-            let mut carry = 0u64;
-            for j in 0..L {
-                let wide = tl[j] as u128 + a.limb(j) as u128 * bi as u128 + carry as u128;
-                tl[j] = wide as u64;
-                carry = (wide >> 64) as u64;
-            }
-            let wide = t_hi as u128 + carry as u128;
-            t_hi = wide as u64;
-            t_hi2 = t_hi2.wrapping_add((wide >> 64) as u64);
-
-            // m = t[0] * p' mod 2^64; t = (t + m*p) / 2^64
-            let m = tl[0].wrapping_mul(self.p_inv);
-            let wide = tl[0] as u128 + m as u128 * self.p.limb(0) as u128;
-            let mut carry = (wide >> 64) as u64;
-            for j in 1..L {
-                let wide = tl[j] as u128 + m as u128 * self.p.limb(j) as u128 + carry as u128;
-                tl[j - 1] = wide as u64;
-                carry = (wide >> 64) as u64;
-            }
-            let wide = t_hi as u128 + carry as u128;
-            tl[L - 1] = wide as u64;
-            t_hi = t_hi2.wrapping_add((wide >> 64) as u64);
-            t_hi2 = 0;
-        }
-        // Result = t_hi·2^(64L) + tl < 2p: one conditional subtraction.
-        let r = Uint::from_limbs(tl);
-        let (sub, borrow) = r.sbb(&self.p, 0);
-        let keep_sub = crate::ct::mask_from_bit(t_hi | (1 - borrow));
-        let mut out = [0u64; L];
-        crate::ct::select_limbs(keep_sub, sub.limbs(), r.limbs(), &mut out);
-        Uint::from_limbs(out)
-    }
-
-    /// Montgomery squaring, using the dedicated squaring routine
-    /// (Table 4's "Integer squaring" path).
-    pub fn sqr(&self, a: &Uint<L>) -> Uint<L> {
-        let (lo, hi) = square_ps(a);
-        self.redc(&lo, &hi)
     }
 
     /// Converts into the Montgomery domain: `a·R mod p`.
@@ -262,6 +254,7 @@ impl<const L: usize> MontCtx<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mul::{mul_ps, square_ps};
     use crate::reference::RefInt;
 
     type U256 = Uint<4>;
@@ -395,7 +388,8 @@ mod tests {
             ),
         ];
         for (a, b) in cases {
-            assert_eq!(ctx.mul(&a, &b), ctx.mul_cios(&a, &b), "a={a} b={b}");
+            let (lo, hi) = mul_ps(&a, &b);
+            assert_eq!(ctx.mul(&a, &b), ctx.redc(&lo, &hi), "a={a} b={b}");
         }
     }
 
@@ -415,7 +409,10 @@ mod tests {
                 &U256::from_limbs(std::array::from_fn(|_| rng.gen())).shr(1),
                 &p,
             );
-            assert_eq!(ctx.mul(&a, &b), ctx.mul_cios(&a, &b));
+            let (lo, hi) = mul_ps(&a, &b);
+            assert_eq!(ctx.mul(&a, &b), ctx.redc(&lo, &hi));
+            let (lo, hi) = square_ps(&a);
+            assert_eq!(ctx.sqr(&a), ctx.redc(&lo, &hi));
         }
     }
 

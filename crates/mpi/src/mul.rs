@@ -248,16 +248,12 @@ pub fn mul_karatsuba_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
 /// Product-scanning multiplication: returns `(low, high)` halves of the
 /// `2L`-digit product.
 pub fn mul_ps<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut out = vec![0u64; 2 * L];
-    mul_ps_slices(a.limbs(), b.limbs(), &mut out);
-    split(&out)
+    split_product(|out| mul_ps_slices(a.limbs(), b.limbs(), out))
 }
 
 /// Operand-scanning multiplication: returns `(low, high)`.
 pub fn mul_os<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut out = vec![0u64; 2 * L];
-    mul_os_slices(a.limbs(), b.limbs(), &mut out);
-    split(&out)
+    split_product(|out| mul_os_slices(a.limbs(), b.limbs(), out))
 }
 
 /// One-level Karatsuba multiplication: returns `(low, high)`.
@@ -266,24 +262,21 @@ pub fn mul_os<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
 ///
 /// Panics if `L` is odd.
 pub fn mul_karatsuba<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut out = vec![0u64; 2 * L];
-    mul_karatsuba_slices(a.limbs(), b.limbs(), &mut out);
-    split(&out)
+    split_product(|out| mul_karatsuba_slices(a.limbs(), b.limbs(), out))
 }
 
 /// Product-scanning squaring: returns `(low, high)`.
 pub fn square_ps<const L: usize>(a: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut out = vec![0u64; 2 * L];
-    square_ps_slices(a.limbs(), &mut out);
-    split(&out)
+    split_product(|out| square_ps_slices(a.limbs(), out))
 }
 
-fn split<const L: usize>(wide: &[u64]) -> (Uint<L>, Uint<L>) {
-    let mut lo = [0u64; L];
-    let mut hi = [0u64; L];
-    lo.copy_from_slice(&wide[..L]);
-    hi.copy_from_slice(&wide[L..]);
-    (Uint::from_limbs(lo), Uint::from_limbs(hi))
+/// Runs a slice routine on a `2L`-digit stack buffer and returns its
+/// `(low, high)` halves.
+#[inline]
+fn split_product<const L: usize>(f: impl FnOnce(&mut [u64])) -> (Uint<L>, Uint<L>) {
+    let mut out = [[0u64; L]; 2];
+    f(out.as_flattened_mut());
+    (Uint::from_limbs(out[0]), Uint::from_limbs(out[1]))
 }
 
 #[cfg(test)]

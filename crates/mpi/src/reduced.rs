@@ -12,6 +12,12 @@
 //! propagation uses an *arithmetic* shift so borrows ripple correctly —
 //! this is why the paper's carry-propagation instruction is
 //! `sraiadd` (arithmetic) and not a logical-shift fusion.
+//!
+//! [`MontCtx57`] multiplies in the separated form: product scanning
+//! into a `2N`-limb stack buffer, then [`MontCtx57::redc`] over a
+//! stack window of `u128` column sums. Like the full-radix context it
+//! never allocates and has no branch or loop bound that depends on the
+//! operands.
 
 use crate::ct::{mask_from_bit, select_limbs};
 use crate::mont::MontError;
@@ -222,7 +228,7 @@ impl<const N: usize> fmt::Debug for Reduced<N> {
 pub fn mul_ps_slices_57(a: &[u64], b: &[u64], out: &mut [u64]) {
     assert_eq!(out.len(), a.len() + b.len());
     assert!(
-        a.iter().chain(b).all(|&l| l <= MASK),
+        a.iter().chain(b).fold(0, |acc, &l| acc | l) <= MASK,
         "inputs must be canonical"
     );
     let (mut l, mut h) = (0u64, 0u64);
@@ -274,7 +280,10 @@ pub fn mul_ps_slices_57_isa(a: &[u64], b: &[u64], out: &mut [u64]) {
 /// Panics if an input limb exceeds 2^57 − 1 or `out.len() != 2 * a.len()`.
 pub fn square_ps_slices_57(a: &[u64], out: &mut [u64]) {
     assert_eq!(out.len(), 2 * a.len());
-    assert!(a.iter().all(|&l| l <= MASK), "input must be canonical");
+    assert!(
+        a.iter().fold(0, |acc, &l| acc | l) <= MASK,
+        "input must be canonical"
+    );
     let n = a.len();
     let (mut l, mut h) = (0u64, 0u64);
     for k in 0..out.len() - 1 {
@@ -433,30 +442,37 @@ impl<const N: usize> MontCtx57<N> {
 
     /// Montgomery reduction of a `2N`-limb canonical product (57-bit
     /// limbs): returns `t·R^{-1} mod p` canonical in `[0, p − 1]`.
+    /// Constant time.
+    ///
+    /// The window `w` holds `t`'s `N` live limbs as `u128` column sums,
+    /// so the `m·p` rows accumulate without carrying. Each row clears
+    /// the low limb, moves its carry into the next one and shifts in
+    /// the next limb of the upper half; one pass at the end brings the
+    /// window back to 57-bit limbs.
     ///
     /// # Panics
     ///
     /// Panics if `t.len() != 2 * N`.
     pub fn redc(&self, t: &[u64]) -> Reduced<N> {
         assert_eq!(t.len(), 2 * N);
-        let mut w: Vec<u128> = t.iter().map(|&x| x as u128).collect();
-        w.push(0);
-        for i in 0..N {
-            let m = (w[i] as u64).wrapping_mul(self.p_inv) & MASK;
+        let mut w: [u128; N] = std::array::from_fn(|i| t[i] as u128);
+        for &next in &t[N..] {
+            let m = (w[0] as u64).wrapping_mul(self.p_inv) & MASK;
             for j in 0..N {
-                w[i + j] += m as u128 * self.p.limb(j) as u128;
+                w[j] += m as u128 * self.p.limb(j) as u128;
             }
-            // Flush the (now zero mod 2^57) column's carry upward.
-            debug_assert_eq!((w[i] as u64) & MASK, 0);
-            let c = w[i] >> RADIX_BITS;
-            w[i + 1] += c;
-            w[i] = 0;
+            // Column 0 is now zero mod 2^57: drop it, carry upward.
+            debug_assert_eq!((w[0] as u64) & MASK, 0);
+            let c = w[0] >> RADIX_BITS;
+            w.copy_within(1.., 0);
+            w[0] += c;
+            w[N - 1] = next as u128;
         }
-        // Normalize the upper half into 57-bit limbs.
+        // Normalize the window into 57-bit limbs.
         let mut out = [0u64; N];
         let mut carry: u128 = 0;
         for k in 0..N {
-            let v = w[N + k] + carry;
+            let v = w[k] + carry;
             out[k] = (v as u64) & MASK;
             carry = v >> RADIX_BITS;
         }
@@ -466,16 +482,16 @@ impl<const N: usize> MontCtx57<N> {
 
     /// Montgomery multiplication. Constant time.
     pub fn mul(&self, a: &Reduced<N>, b: &Reduced<N>) -> Reduced<N> {
-        let mut t = vec![0u64; 2 * N];
-        mul_ps_slices_57(a.limbs(), b.limbs(), &mut t);
-        self.redc(&t)
+        let mut t = [[0u64; N]; 2];
+        mul_ps_slices_57(a.limbs(), b.limbs(), t.as_flattened_mut());
+        self.redc(t.as_flattened())
     }
 
     /// Montgomery squaring. Constant time.
     pub fn sqr(&self, a: &Reduced<N>) -> Reduced<N> {
-        let mut t = vec![0u64; 2 * N];
-        square_ps_slices_57(a.limbs(), &mut t);
-        self.redc(&t)
+        let mut t = [[0u64; N]; 2];
+        square_ps_slices_57(a.limbs(), t.as_flattened_mut());
+        self.redc(t.as_flattened())
     }
 
     /// Converts to Montgomery form.
@@ -486,9 +502,7 @@ impl<const N: usize> MontCtx57<N> {
 
     /// Converts out of Montgomery form.
     pub fn from_mont(&self, a: &Reduced<N>) -> Reduced<N> {
-        let mut t = vec![0u64; 2 * N];
-        t[..N].copy_from_slice(a.limbs());
-        self.redc(&t)
+        self.redc([*a.limbs(), [0; N]].as_flattened())
     }
 }
 
