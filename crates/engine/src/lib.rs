@@ -21,8 +21,10 @@
 //!   graceful drain — everything already accepted completes, nothing
 //!   is dropped, and later submissions fail with
 //!   [`EngineError::ShutDown`].
-//! * [`Engine::stats`] returns an [`EngineStats`] snapshot (per-op
-//!   counts, queue depth, p50/p99 latency, throughput); the
+//! * Every request is recorded as it happens into the engine's own
+//!   `mpise-obs` registry ([`Engine::metrics`]), and
+//!   [`Engine::stats`] derives an [`EngineStats`] snapshot (per-op
+//!   counts, queue depth, p50/p99 latency, throughput) from it; the
 //!   [`loadgen`] module drives N concurrent clients against the
 //!   engine and writes a machine-readable `LOAD_<date>.json` report
 //!   with a multi-worker throughput gate.
@@ -279,11 +281,11 @@ impl Engine {
         let (job, ticket) = self.make_job(seed, request, deadline);
         match self.queue.push(job) {
             Ok(()) => {
-                self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                self.stats.submitted.inc();
                 Ok(ticket)
             }
             Err(_) => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                self.stats.rejected.inc();
                 Err(EngineError::ShutDown)
             }
         }
@@ -304,11 +306,11 @@ impl Engine {
         let (job, ticket) = self.make_job(seed, request, deadline);
         match self.queue.try_push(job) {
             Ok(()) => {
-                self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                self.stats.submitted.inc();
                 Ok(ticket)
             }
             Err(err) => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                self.stats.rejected.inc();
                 Err(match err {
                     TryPushError::Closed(_) => EngineError::ShutDown,
                     TryPushError::Full(_) => EngineError::QueueFull,
@@ -327,87 +329,13 @@ impl Engine {
         self.config
     }
 
-    /// Publishes the current counters into an `mpise-obs` metrics
-    /// registry (typically [`mpise_obs::global`]): request counters by
-    /// op, queue/throughput gauges, per-worker completion gauges, and
-    /// the full latency reservoir as a histogram. Idempotent — each
-    /// call overwrites the previous export, so periodic publication
-    /// always reflects the snapshot, not a double count.
-    pub fn publish_metrics(&self, reg: &mpise_obs::Registry) {
-        let s = self.stats();
-        let latencies = self.stats.latencies();
-        let ops = "Requests answered, by operation";
-        reg.counter(
-            "mpise_engine_requests_submitted_total",
-            "Requests accepted into the queue",
-            &[],
-        )
-        .set(s.submitted);
-        reg.counter(
-            "mpise_engine_requests_rejected_total",
-            "Submissions refused",
-            &[],
-        )
-        .set(s.rejected);
-        reg.counter(
-            "mpise_engine_requests_completed_total",
-            ops,
-            &[("op", "keygen")],
-        )
-        .set(s.keygen);
-        reg.counter(
-            "mpise_engine_requests_completed_total",
-            ops,
-            &[("op", "derive")],
-        )
-        .set(s.derive);
-        reg.counter(
-            "mpise_engine_requests_completed_total",
-            ops,
-            &[("op", "validate")],
-        )
-        .set(s.validate);
-        reg.counter(
-            "mpise_engine_requests_expired_total",
-            "Requests that missed their deadline",
-            &[],
-        )
-        .set(s.expired);
-        reg.counter(
-            "mpise_engine_requests_cancelled_total",
-            "Requests cancelled before execution",
-            &[],
-        )
-        .set(s.cancelled);
-        reg.gauge(
-            "mpise_engine_queue_depth",
-            "Requests queued but not yet claimed",
-            &[],
-        )
-        .set(s.queue_depth as f64);
-        reg.gauge(
-            "mpise_engine_throughput_rps",
-            "Completed requests per second since start",
-            &[],
-        )
-        .set(s.throughput_rps);
-        let worker_help = "Jobs answered, by worker";
-        for (i, &n) in s.worker_completed.iter().enumerate() {
-            let id = i.to_string();
-            reg.gauge(
-                "mpise_engine_worker_completed",
-                worker_help,
-                &[("worker", &id)],
-            )
-            .set(n as f64);
-        }
-        reg.histogram(
-            "mpise_engine_latency_us",
-            "Submit-to-response latency (microseconds)",
-            &[],
-            &mpise_obs::metrics::LATENCY_BUCKETS_US,
-        )
-        .replace_with_samples(&latencies);
+    /// The engine's own metrics registry, with the queue-depth and
+    /// throughput gauges brought up to date: request counters by op,
+    /// per-worker completion counters and the latency histogram that
+    /// [`Engine::stats`] is derived from. Clone it to keep reading the
+    /// final values after the engine is gone.
+    pub fn metrics(&self) -> &mpise_obs::Registry {
+        self.stats.registry(self.queue.len())
     }
 
     /// Graceful drain: refuses new submissions, lets the workers
@@ -450,15 +378,7 @@ impl Drop for Engine {
 
 /// Responds to a job and records its latency and op counter.
 fn respond(stats: &StatsInner, job: &Job, result: Result<Outcome, EngineError>) {
-    match &result {
-        Ok(Outcome::Keypair { .. }) => stats.keygen.fetch_add(1, Ordering::Relaxed),
-        Ok(Outcome::SharedSecret(_)) => stats.derive.fetch_add(1, Ordering::Relaxed),
-        Ok(Outcome::Validated(_)) => stats.validate.fetch_add(1, Ordering::Relaxed),
-        Err(EngineError::DeadlineExceeded) => stats.expired.fetch_add(1, Ordering::Relaxed),
-        Err(EngineError::Cancelled) => stats.cancelled.fetch_add(1, Ordering::Relaxed),
-        Err(_) => 0,
-    };
-    stats.record_latency(job.submitted.elapsed().as_micros() as u64);
+    stats.record(&result, job.submitted.elapsed().as_micros() as u64);
     // A dropped ticket makes the send fail; that is fine.
     let _ = job.tx.send(result);
 }
@@ -480,7 +400,7 @@ fn refusal(job: &Job) -> Option<EngineError> {
 fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, worker: usize) {
     while let Some(job) = queue.pop() {
         run_job(&f, job, stats);
-        stats.worker_completed[worker].fetch_add(1, Ordering::Relaxed);
+        stats.worker_completed[worker].inc();
     }
     // Spans are thread-local; hand this worker's finished tree to the
     // engine before the thread exits.
@@ -661,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_metrics_exports_the_snapshot() {
+    fn metrics_exports_the_snapshot() {
         let engine = Engine::start(
             EngineConfig {
                 workers: 2,
@@ -675,12 +595,10 @@ mod tests {
                 .unwrap()
                 .wait();
         }
-        let reg = mpise_obs::Registry::new();
-        engine.publish_metrics(&reg);
-        // Publishing twice must not double-count (counters are set,
-        // the histogram is replaced).
-        engine.publish_metrics(&reg);
-        let text = reg.render_prometheus();
+        // Reading the registry twice must not double-count: the engine
+        // records each request once, as it happens.
+        let _ = engine.metrics();
+        let text = engine.metrics().render_prometheus();
         assert!(text.contains("mpise_engine_requests_submitted_total 4"));
         assert!(text.contains("mpise_engine_requests_completed_total{op=\"validate\"} 4"));
         assert!(text.contains("mpise_engine_worker_completed{worker=\"0\"}"));

@@ -198,6 +198,8 @@ pub struct PassResult {
     pub payloads: Vec<u8>,
     /// Worker span forest (empty unless telemetry was enabled).
     pub spans: mpise_obs::SpanTree,
+    /// The pass engine's metrics registry.
+    pub metrics: mpise_obs::Registry,
 }
 
 /// Runs one pass: `clients` threads submit the deterministic mix and
@@ -258,11 +260,7 @@ pub fn run_pass(workers: usize, opts: &LoadgenOptions, fixtures: &Fixtures) -> P
     });
     let elapsed_secs = t0.elapsed().as_secs_f64();
     let stats = engine.stats();
-    if mpise_obs::enabled() {
-        // Publication is idempotent set/replace, so the registry ends
-        // up describing whichever pass published last (the loaded one).
-        engine.publish_metrics(mpise_obs::global());
-    }
+    let metrics = engine.metrics().clone();
     engine.shutdown();
     let spans = engine.take_worker_spans();
 
@@ -280,6 +278,7 @@ pub fn run_pass(workers: usize, opts: &LoadgenOptions, fixtures: &Fixtures) -> P
         stats,
         payloads: client_payloads.concat(),
         spans,
+        metrics,
     }
 }
 
@@ -600,9 +599,11 @@ pub fn run_cli(args: &[String]) -> i32 {
     }
     println!("\nwrote {path}");
 
+    // The exported metrics describe the loaded pass.
+    let metrics = &report.passes.last().expect("two passes").metrics;
     if mpise_obs::enabled() {
         if let Some(path) = &opts.metrics_out {
-            if let Err(e) = std::fs::write(path, mpise_obs::global().render_prometheus()) {
+            if let Err(e) = std::fs::write(path, metrics.render_prometheus()) {
                 eprintln!("loadgen: failed to write {path}: {e}");
                 return 2;
             }
@@ -613,7 +614,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             for pass in &report.passes {
                 spans.merge(pass.spans.clone());
             }
-            let snapshot = mpise_obs::Snapshot::capture_with_spans(spans);
+            let snapshot = mpise_obs::Snapshot::capture_with_spans(metrics, spans);
             if let Err(e) = std::fs::write(path, snapshot.to_json()) {
                 eprintln!("loadgen: failed to write {path}: {e}");
                 return 2;

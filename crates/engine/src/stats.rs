@@ -1,81 +1,136 @@
-//! Engine observability: operation counters and latency percentiles.
+//! Engine observability: the engine's own metrics registry, and the
+//! [`EngineStats`] snapshot derived from it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::{EngineError, Outcome};
+use mpise_obs::metrics::{Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
+use mpise_obs::{Registry, SpanTree};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Shared mutable counters behind the engine (relaxed atomics; the
-/// latency reservoir is a mutex because percentile extraction needs
-/// the whole population).
+/// The engine's metric handles, all registered in one per-engine
+/// registry. Recording is a relaxed atomic update and the latency
+/// histogram has fixed buckets, so memory stays flat however many
+/// requests the engine serves.
 pub(crate) struct StatsInner {
-    pub(crate) started: Instant,
-    pub(crate) submitted: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) keygen: AtomicU64,
-    pub(crate) derive: AtomicU64,
-    pub(crate) validate: AtomicU64,
-    pub(crate) expired: AtomicU64,
-    pub(crate) cancelled: AtomicU64,
+    started: Instant,
+    registry: Registry,
+    pub(crate) submitted: Counter,
+    pub(crate) rejected: Counter,
+    keygen: Counter,
+    derive: Counter,
+    validate: Counter,
+    expired: Counter,
+    cancelled: Counter,
     /// Jobs answered per worker, indexed by worker id.
-    pub(crate) worker_completed: Vec<AtomicU64>,
-    pub(crate) latencies_us: Mutex<Vec<u64>>,
+    pub(crate) worker_completed: Vec<Counter>,
+    latency_us: Histogram,
+    queue_depth: Gauge,
+    throughput_rps: Gauge,
     /// Telemetry span trees handed in by exiting workers (spans are
     /// thread-local, so each worker merges its tree here on shutdown).
-    pub(crate) spans: Mutex<mpise_obs::SpanTree>,
+    pub(crate) spans: Mutex<SpanTree>,
 }
 
 impl StatsInner {
     pub(crate) fn new(workers: usize) -> Self {
+        let registry = Registry::new();
+        let completed = |op| {
+            registry.counter(
+                "mpise_engine_requests_completed_total",
+                "Requests answered, by operation",
+                &[("op", op)],
+            )
+        };
         StatsInner {
             started: Instant::now(),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            keygen: AtomicU64::new(0),
-            derive: AtomicU64::new(0),
-            validate: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            worker_completed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            latencies_us: Mutex::new(Vec::new()),
-            spans: Mutex::new(mpise_obs::SpanTree::default()),
+            submitted: registry.counter(
+                "mpise_engine_requests_submitted_total",
+                "Requests accepted into the queue",
+                &[],
+            ),
+            rejected: registry.counter(
+                "mpise_engine_requests_rejected_total",
+                "Submissions refused",
+                &[],
+            ),
+            keygen: completed("keygen"),
+            derive: completed("derive"),
+            validate: completed("validate"),
+            expired: registry.counter(
+                "mpise_engine_requests_expired_total",
+                "Requests that missed their deadline",
+                &[],
+            ),
+            cancelled: registry.counter(
+                "mpise_engine_requests_cancelled_total",
+                "Requests cancelled before execution",
+                &[],
+            ),
+            worker_completed: (0..workers)
+                .map(|worker| {
+                    registry.counter(
+                        "mpise_engine_worker_completed",
+                        "Jobs answered, by worker",
+                        &[("worker", &worker.to_string())],
+                    )
+                })
+                .collect(),
+            latency_us: registry.histogram(
+                "mpise_engine_latency_us",
+                "Submit-to-response latency (microseconds)",
+                &[],
+                &LATENCY_BUCKETS_US,
+            ),
+            queue_depth: registry.gauge(
+                "mpise_engine_queue_depth",
+                "Requests queued but not yet claimed",
+                &[],
+            ),
+            throughput_rps: registry.gauge(
+                "mpise_engine_throughput_rps",
+                "Completed requests per second since start",
+                &[],
+            ),
+            registry,
+            spans: Mutex::new(SpanTree::default()),
         }
     }
 
-    pub(crate) fn record_latency(&self, micros: u64) {
-        self.latencies_us.lock().expect("stats lock").push(micros);
-    }
-
-    /// A copy of the retained latency population (microseconds).
-    pub(crate) fn latencies(&self) -> Vec<u64> {
-        self.latencies_us.lock().expect("stats lock").clone()
+    /// Counts a response by its result and records its latency.
+    pub(crate) fn record(&self, result: &Result<Outcome, EngineError>, latency_us: u64) {
+        match result {
+            Ok(Outcome::Keypair { .. }) => self.keygen.inc(),
+            Ok(Outcome::SharedSecret(_)) => self.derive.inc(),
+            Ok(Outcome::Validated(_)) => self.validate.inc(),
+            Err(EngineError::DeadlineExceeded) => self.expired.inc(),
+            Err(EngineError::Cancelled) => self.cancelled.inc(),
+            Err(_) => {}
+        }
+        self.latency_us.observe(latency_us as f64);
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize) -> EngineStats {
-        // One copy of the log, sorted once, serves every percentile.
-        let mut latencies = self.latencies_us.lock().expect("stats lock").clone();
-        latencies.sort_unstable();
-        let completed = self.keygen.load(Ordering::Relaxed)
-            + self.derive.load(Ordering::Relaxed)
-            + self.validate.load(Ordering::Relaxed);
+        let (keygen, derive, validate) =
+            (self.keygen.get(), self.derive.get(), self.validate.get());
+        let completed = keygen + derive + validate;
         let elapsed_secs = self.started.elapsed().as_secs_f64();
+        // Observations are whole microseconds and a quantile is never
+        // below its exact value, so truncation cannot drop below it.
+        let micros = |v: Option<f64>| v.map(|us| us as u64);
         EngineStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            submitted: self.submitted.get(),
+            rejected: self.rejected.get(),
             completed,
-            keygen: self.keygen.load(Ordering::Relaxed),
-            derive: self.derive.load(Ordering::Relaxed),
-            validate: self.validate.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            worker_completed: self
-                .worker_completed
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
+            keygen,
+            derive,
+            validate,
+            expired: self.expired.get(),
+            cancelled: self.cancelled.get(),
+            worker_completed: self.worker_completed.iter().map(Counter::get).collect(),
             queue_depth,
-            p50_us: percentile(&latencies, 50.0),
-            p99_us: percentile(&latencies, 99.0),
-            max_us: latencies.last().copied(),
+            p50_us: micros(self.latency_us.quantile(0.5)),
+            p99_us: micros(self.latency_us.quantile(0.99)),
+            max_us: micros(self.latency_us.max()),
             elapsed_secs,
             throughput_rps: if elapsed_secs > 0.0 {
                 completed as f64 / elapsed_secs
@@ -84,16 +139,15 @@ impl StatsInner {
             },
         }
     }
-}
 
-/// Nearest-rank percentile over ascending-sorted latencies (`None` when
-/// the series is empty — an idle engine has no latency, not a zero one).
-fn percentile(sorted: &[u64], pct: f64) -> Option<u64> {
-    if sorted.is_empty() {
-        return None;
+    /// The registry, with the queue-depth and throughput gauges set
+    /// from a fresh snapshot.
+    pub(crate) fn registry(&self, queue_depth: usize) -> &Registry {
+        let s = self.snapshot(queue_depth);
+        self.queue_depth.set(s.queue_depth as f64);
+        self.throughput_rps.set(s.throughput_rps);
+        &self.registry
     }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
 
 /// A point-in-time snapshot of the engine's counters.
@@ -168,27 +222,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_nearest_rank() {
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&samples, 50.0), Some(50));
-        assert_eq!(percentile(&samples, 99.0), Some(99));
-        assert_eq!(percentile(&samples, 100.0), Some(100));
-        assert_eq!(percentile(&[42], 50.0), Some(42));
-        assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
     fn snapshot_aggregates() {
         let s = StatsInner::new(2);
-        s.keygen.store(2, Ordering::Relaxed);
-        s.validate.store(3, Ordering::Relaxed);
-        s.record_latency(1000);
-        s.record_latency(3000);
+        s.keygen.add(2);
+        s.validate.add(3);
+        s.latency_us.observe(1000.0);
+        s.latency_us.observe(3000.0);
         let snap = s.snapshot(7);
         assert_eq!(snap.completed, 5);
         assert_eq!(snap.queue_depth, 7);
-        assert_eq!(snap.p50_us, Some(1000));
+        // p50 reads the upper bound of 1000's bucket; p99 is capped at
+        // the exact maximum.
+        let p50 = snap.p50_us.expect("two samples");
+        assert!(p50 >= 1000 && (p50 as f64) < 1000.0 * LATENCY_BUCKETS_US[1]);
         assert_eq!(snap.p99_us, Some(3000));
+        assert_eq!(snap.max_us, Some(3000));
         assert!(snap.throughput_rps > 0.0);
     }
 

@@ -13,7 +13,10 @@
 //! * **Metrics** ([`metrics::Registry`]) — counters, gauges and
 //!   fixed-bucket histograms with Prometheus labels, exported as
 //!   Prometheus text ([`metrics::Registry::render_prometheus`]) or as
-//!   the versioned [`Snapshot`] JSON (`mpise-obs/v1`);
+//!   the versioned [`Snapshot`] JSON (`mpise-obs/v1`). There is no
+//!   process-wide registry: each component owns one (the engine
+//!   records every request straight into its own) and hands it to the
+//!   exporter;
 //! * **Provenance** ([`provenance::Provenance`]) — git commit, host
 //!   and timestamp stamped into every artifact;
 //! * **Validation** ([`prom::validate`], the `obscheck` binary) — the
@@ -34,7 +37,7 @@ pub mod provenance;
 pub mod span;
 pub mod time;
 
-pub use metrics::{global, Registry};
+pub use metrics::Registry;
 pub use provenance::Provenance;
 pub use span::{add_sim_cost, span, take_spans, SpanGuard, SpanNode, SpanTree};
 
@@ -77,22 +80,12 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures the global registry plus the calling thread's finished
-    /// spans. Drains the span tree ([`take_spans`]).
-    pub fn capture() -> Self {
+    /// Captures `registry` with an explicit span forest (e.g. merged
+    /// from several worker threads).
+    pub fn capture_with_spans(registry: &Registry, spans: SpanTree) -> Self {
         Snapshot {
             provenance: Provenance::collect(),
-            metrics_json: global().metrics_json(),
-            spans: take_spans(),
-        }
-    }
-
-    /// Captures the global registry with an explicit span forest
-    /// (e.g. merged from several worker threads).
-    pub fn capture_with_spans(spans: SpanTree) -> Self {
-        Snapshot {
-            provenance: Provenance::collect(),
-            metrics_json: global().metrics_json(),
+            metrics_json: registry.metrics_json(),
             spans,
         }
     }

@@ -2,9 +2,12 @@
 //! with Prometheus-style labels, exported as Prometheus text format or
 //! as part of the `mpise-obs/v1` JSON snapshot.
 //!
-//! Handles are cheap `Arc`-backed atomics, so hot paths increment
+//! Handles are cheap `Arc`-backed atomics, so hot paths record
 //! without touching the registry lock; the lock is only taken to
-//! register a series or to render an export.
+//! register a series or to render an export. A histogram keeps fixed
+//! buckets plus its exact maximum, so its memory is bounded however
+//! many observations it absorbs, and [`Histogram::quantile`] reads
+//! percentiles straight from the buckets.
 //!
 //! # Examples
 //!
@@ -22,7 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A monotone counter handle.
 #[derive(Debug, Clone)]
@@ -37,12 +40,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value (for absorbing an externally maintained
-    /// counter, e.g. an `EngineStats` snapshot).
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -80,63 +77,86 @@ struct HistogramInner {
     /// ample for microsecond latencies).
     sum_milli: AtomicU64,
     count: AtomicU64,
+    /// Largest observation so far, as `f64` bits (`-inf` when empty).
+    max: AtomicU64,
 }
 
 /// A fixed-bucket histogram handle.
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
-/// Default latency buckets in microseconds: 100 µs … 10 s, roughly
-/// one bucket per 1–2–5 decade step.
-pub const LATENCY_BUCKETS_US: [f64; 12] = [
-    100.0,
-    250.0,
-    500.0,
-    1_000.0,
-    2_500.0,
-    5_000.0,
-    10_000.0,
-    25_000.0,
-    100_000.0,
-    500_000.0,
-    2_000_000.0,
-    10_000_000.0,
-];
+/// Latency buckets in microseconds: 1 µs to 2^26.75 µs ≈ 113 s, four
+/// buckets per octave, so consecutive bounds differ by 2^(1/4) ≈ 19%
+/// and a bucket bound overstates any value of at least 1 µs in its
+/// bucket by less than that. Bounds on whole octaves are exact powers
+/// of two.
+pub const LATENCY_BUCKETS_US: [f64; 108] = quarter_octaves();
+
+const fn quarter_octaves<const N: usize>() -> [f64; N] {
+    const STEPS: [f64; 4] = [
+        1.0,
+        1.189_207_115_002_721,
+        std::f64::consts::SQRT_2,
+        1.681_792_830_507_429,
+    ];
+    let mut bounds = [0.0; N];
+    let mut octave = 1.0;
+    let mut i = 0;
+    while i < N {
+        bounds[i] = octave * STEPS[i % 4];
+        if i % 4 == 3 {
+            octave *= 2.0;
+        }
+        i += 1;
+    }
+    bounds
+}
 
 impl Histogram {
     /// Records one observation.
     pub fn observe(&self, v: f64) {
         let inner = &self.0;
-        let idx = inner
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(inner.bounds.len());
+        let idx = inner.bounds.partition_point(|&b| b < v);
         inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
         inner
             .sum_milli
             .fetch_add((v * 1000.0).max(0.0) as u64, Ordering::Relaxed);
+        let _ = inner
+            .max
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                (v > f64::from_bits(cur)).then_some(v.to_bits())
+            });
         inner.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Clears all buckets, then records every sample — for absorbing a
-    /// retained sample population (e.g. an engine's latency reservoir)
-    /// into the export.
-    pub fn replace_with_samples(&self, samples: &[u64]) {
-        let inner = &self.0;
-        for b in &inner.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        inner.sum_milli.store(0, Ordering::Relaxed);
-        inner.count.store(0, Ordering::Relaxed);
-        for &s in samples {
-            self.observe(s as f64);
-        }
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
+    }
+
+    /// The largest observation (`None` before the first one).
+    pub fn max(&self) -> Option<f64> {
+        let max = f64::from_bits(self.0.max.load(Ordering::Relaxed));
+        (max != f64::NEG_INFINITY).then_some(max)
+    }
+
+    /// The nearest-rank `q`-quantile (`0 < q ≤ 1`) as the upper bound of
+    /// the bucket holding that rank, capped at the exact maximum: never
+    /// below the exact nearest-rank value, and above it by at most one
+    /// bucket's width. `None` before the first observation.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let max = self.max()?;
+        let buckets = &self.0.buckets;
+        let total: u64 = buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total.max(1));
+        let mut cumulative = 0;
+        for (bucket, bound) in buckets.iter().zip(&self.0.bounds) {
+            cumulative += bucket.load(Ordering::Relaxed);
+            if cumulative >= rank {
+                return Some(bound.min(max));
+            }
+        }
+        Some(max)
     }
 }
 
@@ -174,11 +194,12 @@ struct Family {
 
 /// A thread-safe registry of metric families.
 ///
-/// Use [`global`] for the process-wide registry the binaries export,
-/// or [`Registry::new`] for an isolated one (tests).
-#[derive(Debug, Default)]
+/// Clones share the same families, like the handles they hand out, so
+/// a clone keeps reading a component's live metrics after the
+/// component itself is gone.
+#[derive(Debug, Default, Clone)]
 pub struct Registry {
-    families: Mutex<BTreeMap<String, Family>>,
+    families: Arc<Mutex<BTreeMap<String, Family>>>,
 }
 
 fn label_key(labels: &[(&str, &str)]) -> String {
@@ -260,6 +281,7 @@ impl Registry {
                 buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
                 sum_milli: AtomicU64::new(0),
                 count: AtomicU64::new(0),
+                max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             })))
         }) {
             Series::Histogram(h) => h,
@@ -410,14 +432,6 @@ fn labels_to_json(labels: &str) -> String {
     out
 }
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide registry exported by the `loadgen`, `bench` and
-/// `key_service` binaries.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,16 +487,55 @@ mod tests {
         assert!(text.contains("lat_us_count 3"));
     }
 
+    /// Exact nearest-rank quantile of ascending-sorted samples.
+    fn nearest_rank(sorted: &[u64], q: f64) -> f64 {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1] as f64
+    }
+
     #[test]
-    fn histogram_replace_with_samples() {
-        let r = Registry::new();
-        let h = r.histogram("lat", "latency", &[], &[10.0]);
-        h.observe(1.0);
-        h.replace_with_samples(&[5, 20, 30]);
-        assert_eq!(h.count(), 3);
-        let text = r.render_prometheus();
-        assert!(text.contains("lat_bucket{le=\"10\"} 1"));
-        assert!(text.contains("lat_bucket{le=\"+Inf\"} 3"));
+    fn quantile_is_within_one_bucket_of_nearest_rank() {
+        let step = LATENCY_BUCKETS_US[1];
+        let mut state = 0x5EED_u64;
+        let mut splitmix = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Log-spread latencies from 1 µs to ~67 s.
+        let random: Vec<u64> = (0..4000)
+            .map(|_| {
+                let r = splitmix();
+                1 + (r >> (38 + r % 26))
+            })
+            .collect();
+        let ramp: Vec<u64> = (1..=100).collect();
+        for samples in [random, ramp] {
+            let r = Registry::new();
+            let h = r.histogram("lat_us", "latency", &[], &LATENCY_BUCKETS_US);
+            assert_eq!(h.quantile(0.5), None, "an empty histogram has no quantile");
+            for &s in &samples {
+                h.observe(s as f64);
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            for q in [0.5, 0.99, 1.0] {
+                let exact = nearest_rank(&sorted, q);
+                let got = h.quantile(q).expect("non-empty");
+                assert!(got >= exact, "q{q}: {got} below exact {exact}");
+                assert!(
+                    got <= exact * step,
+                    "q{q}: {got} over a bucket above {exact}"
+                );
+            }
+            let max = h.max().expect("non-empty");
+            assert_eq!(max, *sorted.last().unwrap() as f64);
+            assert_eq!(h.quantile(1.0), Some(max));
+            assert!(h.quantile(0.5) <= h.quantile(0.99));
+            assert!(h.quantile(0.99) <= Some(max));
+            crate::prom::validate(&r.render_prometheus()).expect("bucket layout must parse");
+        }
     }
 
     #[test]

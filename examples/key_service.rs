@@ -98,12 +98,11 @@ fn main() {
 
     println!("\nengine statistics:");
     println!("{}", engine.stats());
-    engine.publish_metrics(mpise::obs::global());
     engine.shutdown();
     println!("engine drained and shut down.");
 
     println!("\n/metrics (Prometheus text exposition):");
-    print!("{}", mpise::obs::global().render_prometheus());
+    print!("{}", engine.metrics().render_prometheus());
 
     let spans = engine.take_worker_spans();
     if !spans.is_empty() {
