@@ -13,8 +13,10 @@
 //!   fewer cores, so the requirement degrades smoothly to a
 //!   no-regression margin (`clamp(0.75 · min(workers, cores), 0.75,
 //!   2.0)`) instead of demanding physically impossible speedups on
-//!   small hosts;
-//! * **determinism** — both passes must produce byte-identical result
+//!   small hosts. The baseline/loaded pair runs [`GATE_PAIRS`] times,
+//!   the order alternating, and the gate takes the median of the pair
+//!   ratios, so one pass slowed by a co-tenant cannot decide it;
+//! * **determinism** — every pass must produce byte-identical result
 //!   payloads (shared secrets, public keys, verdicts): outcomes
 //!   depend only on per-request seeds, never on worker count or
 //!   scheduling.
@@ -33,6 +35,10 @@ use mpise_obs::time::utc_date_string;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
+
+/// Baseline/loaded pass pairs per run. The throughput gate takes the
+/// median of their ratios; an odd count makes the median one pair's.
+pub const GATE_PAIRS: usize = 5;
 
 /// Default base seed ("load" + a suffix picked so the default full
 /// mix draws all three request kinds *and* the smoke mix includes
@@ -285,18 +291,19 @@ pub fn run_pass(workers: usize, opts: &LoadgenOptions, fixtures: &Fixtures) -> P
 /// The throughput-gate verdict.
 #[derive(Debug, Clone, Copy)]
 pub struct GateResult {
-    /// Baseline requests/sec.
+    /// Median baseline requests/sec over the pairs.
     pub baseline_rps: f64,
-    /// Multi-worker requests/sec.
+    /// Median multi-worker requests/sec over the pairs.
     pub loaded_rps: f64,
-    /// `loaded / baseline`.
+    /// Median over the pairs of `loaded / baseline` within a pair.
     pub ratio: f64,
     /// `min(workers, host cores)` — what parallelism can physically
     /// deliver on this host.
     pub effective_parallelism: usize,
     /// The ratio the gate demands on this host.
     pub required_ratio: f64,
-    /// Whether both the throughput and determinism conditions hold.
+    /// Whether the throughput and determinism conditions hold and no
+    /// pass had errors.
     pub pass: bool,
 }
 
@@ -318,9 +325,11 @@ pub fn required_ratio(workers: usize) -> (f64, usize) {
 pub struct LoadReport {
     /// Options the run used.
     pub options: LoadgenOptions,
-    /// Baseline pass (first), loaded pass (second).
-    pub passes: Vec<PassResult>,
-    /// Whether both passes produced byte-identical payloads.
+    /// The [`GATE_PAIRS`] pairs, each `[baseline, loaded]`. Pair `k`
+    /// ran its baseline first when `k` is even, its loaded pass first
+    /// otherwise.
+    pub pairs: Vec<[PassResult; 2]>,
+    /// Whether every pass produced byte-identical payloads.
     pub payloads_identical: bool,
     /// FNV-1a 64 digest of the loaded pass's payload bytes.
     pub payload_digest: u64,
@@ -338,43 +347,79 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs the baseline and loaded passes and evaluates the gate.
+/// The median of `v`: its middle element, or the upper middle of an
+/// even count.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Runs [`GATE_PAIRS`] baseline/loaded pairs, alternating which pass
+/// of a pair goes first, and evaluates the gate on their medians.
 pub fn run(opts: &LoadgenOptions) -> LoadReport {
     let fixtures = Fixtures::generate(opts.seed);
     eprintln!(
-        "loadgen: baseline pass ({} worker(s), {} clients x {} requests) ...",
-        opts.baseline_workers, opts.clients, opts.requests_per_client
+        "loadgen: {GATE_PAIRS} pairs of a baseline pass ({} worker(s)) and a loaded pass \
+         ({} worker(s)), {} clients x {} requests each ...",
+        opts.baseline_workers, opts.workers, opts.clients, opts.requests_per_client
     );
-    let baseline = run_pass(opts.baseline_workers, opts, &fixtures);
-    eprintln!(
-        "loadgen: loaded pass ({} worker(s), same mix) ...",
-        opts.workers
-    );
-    let loaded = run_pass(opts.workers, opts, &fixtures);
+    let pairs: Vec<[PassResult; 2]> = (0..GATE_PAIRS)
+        .map(|k| {
+            if k % 2 == 0 {
+                let baseline = run_pass(opts.baseline_workers, opts, &fixtures);
+                [baseline, run_pass(opts.workers, opts, &fixtures)]
+            } else {
+                let loaded = run_pass(opts.workers, opts, &fixtures);
+                [run_pass(opts.baseline_workers, opts, &fixtures), loaded]
+            }
+        })
+        .collect();
 
-    let payloads_identical = baseline.payloads == loaded.payloads;
-    let payload_digest = fnv1a64(&loaded.payloads);
+    let first = &pairs[0][1].payloads;
+    let payloads_identical = pairs.iter().flatten().all(|p| p.payloads == *first);
+    let payload_digest = fnv1a64(first);
+    let errors = pairs.iter().flatten().any(|p| p.errors > 0);
     let (required, effective) = required_ratio(opts.workers);
-    let ratio = if baseline.requests_per_sec > 0.0 {
-        loaded.requests_per_sec / baseline.requests_per_sec
-    } else {
-        0.0
+    let pair_ratio = |[baseline, loaded]: &[PassResult; 2]| {
+        if baseline.requests_per_sec > 0.0 {
+            loaded.requests_per_sec / baseline.requests_per_sec
+        } else {
+            0.0
+        }
     };
+    let ratio = median(pairs.iter().map(pair_ratio).collect());
     let gate = GateResult {
-        baseline_rps: baseline.requests_per_sec,
-        loaded_rps: loaded.requests_per_sec,
+        baseline_rps: median(pairs.iter().map(|p| p[0].requests_per_sec).collect()),
+        loaded_rps: median(pairs.iter().map(|p| p[1].requests_per_sec).collect()),
         ratio,
         effective_parallelism: effective,
         required_ratio: required,
-        pass: ratio >= required && payloads_identical && baseline.errors == 0 && loaded.errors == 0,
+        pass: ratio >= required && payloads_identical && !errors,
     };
     LoadReport {
         options: opts.clone(),
-        passes: vec![baseline, loaded],
+        pairs,
         payloads_identical,
         payload_digest,
         gate,
     }
+}
+
+/// Every pass of `report` in run order, tagged `"baseline"` or
+/// `"loaded"`.
+fn passes_in_run_order(report: &LoadReport) -> impl Iterator<Item = (&'static str, &PassResult)> {
+    report
+        .pairs
+        .iter()
+        .enumerate()
+        .flat_map(|(k, [baseline, loaded])| {
+            let (b, l) = (("baseline", baseline), ("loaded", loaded));
+            if k % 2 == 0 {
+                [b, l]
+            } else {
+                [l, b]
+            }
+        })
 }
 
 /// `Option` latency fields serialize as JSON `null` when absent
@@ -383,13 +428,14 @@ fn json_opt_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_owned(), |x| x.to_string())
 }
 
-fn pass_json(pass: &PassResult) -> String {
+fn pass_json(role: &str, pass: &PassResult) -> String {
     format!(
-        "    {{\"workers\": {}, \"requests\": {}, \"ok\": {}, \"errors\": {}, \
+        "    {{\"role\": \"{}\", \"workers\": {}, \"requests\": {}, \"ok\": {}, \"errors\": {}, \
          \"elapsed_secs\": {:.4}, \"requests_per_sec\": {:.4}, \
          \"keygen\": {}, \"derive\": {}, \"validate\": {}, \
          \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}, \
          \"worker_completed\": [{}]}}",
+        role,
         pass.workers,
         pass.requests,
         pass.ok,
@@ -438,29 +484,26 @@ pub fn report_json(report: &LoadReport) -> String {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
     ));
+    let passes: Vec<String> = passes_in_run_order(report)
+        .map(|(role, pass)| pass_json(role, pass))
+        .collect();
     out.push_str("  \"passes\": [\n");
-    for (i, pass) in report.passes.iter().enumerate() {
-        out.push_str(&pass_json(pass));
-        out.push_str(if i + 1 < report.passes.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n");
+    out.push_str(&passes.join(",\n"));
+    out.push_str("\n  ],\n");
     out.push_str(&format!(
         "  \"payloads\": {{\"digest_fnv1a64\": \"{:#018x}\", \"bytes\": {}, \
          \"identical_across_passes\": {}}},\n",
         report.payload_digest,
-        report.passes.last().map_or(0, |p| p.payloads.len()),
+        report.pairs[0][1].payloads.len(),
         report.payloads_identical,
     ));
     out.push_str(&format!(
-        "  \"gate\": {{\"baseline_workers\": {}, \"loaded_workers\": {}, \
+        "  \"gate\": {{\"baseline_workers\": {}, \"loaded_workers\": {}, \"pairs\": {}, \
          \"baseline_rps\": {:.4}, \"loaded_rps\": {:.4}, \"ratio\": {:.4}, \
          \"effective_parallelism\": {}, \"required_ratio\": {:.2}, \"pass\": {}}}\n",
         report.options.baseline_workers,
         report.options.workers,
+        report.pairs.len(),
         report.gate.baseline_rps,
         report.gate.loaded_rps,
         report.gate.ratio,
@@ -473,23 +516,31 @@ pub fn report_json(report: &LoadReport) -> String {
 }
 
 fn print_summary(report: &LoadReport) {
-    for pass in &report.passes {
+    for (role, pass) in passes_in_run_order(report) {
         println!(
-            "pass with {} worker(s): {:.2} req/s ({} ok / {} requests, {:.2}s)",
+            "{role} pass with {} worker(s): {:.2} req/s ({} ok / {} requests, {:.2}s)",
             pass.workers, pass.requests_per_sec, pass.ok, pass.requests, pass.elapsed_secs
         );
-        println!("{}", pass.stats);
     }
+    println!("last pair's loaded pass:\n{}", last_loaded(report).stats);
     println!(
         "payloads: {} bytes, digest {:#018x}, identical across passes: {}",
-        report.passes.last().map_or(0, |p| p.payloads.len()),
+        report.pairs[0][1].payloads.len(),
         report.payload_digest,
         report.payloads_identical
     );
     println!(
-        "gate: {:.2}x measured vs {:.2}x required (effective parallelism {})",
-        report.gate.ratio, report.gate.required_ratio, report.gate.effective_parallelism
+        "gate: {:.2}x measured (median of {} pairs) vs {:.2}x required (effective parallelism {})",
+        report.gate.ratio,
+        report.pairs.len(),
+        report.gate.required_ratio,
+        report.gate.effective_parallelism
     );
+}
+
+/// The last pair's loaded pass, whose registry the run exports.
+fn last_loaded(report: &LoadReport) -> &PassResult {
+    &report.pairs.last().expect("GATE_PAIRS > 0")[1]
 }
 
 /// Command-line entry point of the `loadgen` binaries; returns the
@@ -564,9 +615,10 @@ pub fn run_cli(args: &[String]) -> i32 {
                      [--clients N] [--requests N] [--seed N] [--out PATH] \
                      [--metrics-out PATH] [--obs-out PATH]\n\
                      \n\
-                     Runs the deterministic client mix against a 1-worker baseline\n\
-                     and an N-worker engine, writes LOAD_<utc-date>.json, and exits\n\
-                     non-zero when the multi-worker throughput gate fails.\n\
+                     Runs the deterministic client mix through 5 pairs of a 1-worker\n\
+                     baseline and an N-worker engine, writes LOAD_<utc-date>.json, and\n\
+                     exits non-zero when the median multi-worker throughput ratio\n\
+                     misses the gate or any pass's payloads differ.\n\
                      --metrics-out / --obs-out (or MPISE_OBS=1) enable telemetry and\n\
                      dump the Prometheus text / mpise-obs/v1 JSON snapshot."
                 );
@@ -599,8 +651,8 @@ pub fn run_cli(args: &[String]) -> i32 {
     }
     println!("\nwrote {path}");
 
-    // The exported metrics describe the loaded pass.
-    let metrics = &report.passes.last().expect("two passes").metrics;
+    // The exported metrics describe the last pair's loaded pass.
+    let metrics = &last_loaded(&report).metrics;
     if mpise_obs::enabled() {
         if let Some(path) = &opts.metrics_out {
             if let Err(e) = std::fs::write(path, metrics.render_prometheus()) {
@@ -611,7 +663,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
         if let Some(path) = &opts.obs_out {
             let mut spans = mpise_obs::SpanTree::default();
-            for pass in &report.passes {
+            for pass in report.pairs.iter().flatten() {
                 spans.merge(pass.spans.clone());
             }
             let snapshot = mpise_obs::Snapshot::capture_with_spans(metrics, spans);
@@ -683,6 +735,12 @@ mod tests {
         let (r4, eff4) = required_ratio(4);
         assert!(eff4 >= 1);
         assert!((0.75..=2.0).contains(&r4));
+    }
+
+    #[test]
+    fn median_is_the_middle_pair() {
+        assert_eq!(median(vec![1.9, 0.4, 1.6, 1.5, 2.8]), 1.6);
+        assert_eq!(median(vec![2.0]), 2.0);
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! the per-layer benchmarks. Every routine here works on fixed-size
 //! stack arrays, never allocates, and has no branch or loop bound that
 //! depends on the operands.
+//!
+//! `mul` has two bodies with identical results. For 512-bit operands
+//! (`L = 8`) on an x86-64 CPU with BMI2 and ADX it runs an unrolled
+//! `mulx`/`adcx`/`adox` kernel: the host's own fused multiply and
+//! dual-carry instructions, the counterpart of the paper's ISEs that
+//! halve the instructions of a multiply-accumulate (§3, Listings 1
+//! and 3). Everywhere else it runs the portable `u128` CIOS loop, which
+//! is also the reference the kernel is tested against. The CPU is
+//! probed once, in [`MontCtx::new`]; no option selects the path.
 
 use crate::fast::{fast_reduce_swap, mod_add};
 use crate::uint::Uint;
@@ -63,6 +72,9 @@ pub struct MontCtx<const L: usize> {
     p_inv: u64,
     r: Uint<L>,
     r2: Uint<L>,
+    /// Whether `mul` runs the x86-64 `mulx`/`adcx`/`adox` kernel:
+    /// `L == 8` and the CPU reports BMI2 and ADX.
+    carry_ise: bool,
 }
 
 /// Computes `-m^{-1} mod 2^64` for odd `m` by Newton iteration
@@ -105,7 +117,14 @@ impl<const L: usize> MontCtx<L> {
             v = mod_add(&v, &v, &p);
         }
         let r2 = v;
-        Ok(MontCtx { p, p_inv, r, r2 })
+        let carry_ise = L == 8 && has_carry_ise();
+        Ok(MontCtx {
+            p,
+            p_inv,
+            r,
+            r2,
+            carry_ise,
+        })
     }
 
     /// The modulus.
@@ -160,17 +179,53 @@ impl<const L: usize> MontCtx<L> {
         self.sub_p_once(&w, extra)
     }
 
-    /// Montgomery multiplication `a·b·R^{-1} mod p` for residues in
+    /// Montgomery multiplication `a·b·R^{-1} mod p`, returned in
     /// `[0, p − 1]`, in the Coarsely Integrated Operand Scanning (CIOS)
     /// form of Koç–Acar–Kaliski: each row adds `a·b[i]` and then one
-    /// reduction step, so the running value never exceeds `L + 1`
-    /// words. Constant time.
+    /// reduction step. Constant time.
+    ///
+    /// Operands: `b < p` and `a < R − p`. That covers two canonical
+    /// residues, and `to_mont`'s `mul(fold(v), r2)`, whose once-folded
+    /// `a` is below `max(p, R − p) = R − p`. Under it the running value
+    /// after row `i`, `(a·(b mod 2^(64i)) + M·p) / 2^(64i)` with
+    /// `M < 2^(64i)`, stays below `a + p < R`: it fits `L` words between
+    /// rows, each row's sums fit `L + 1`, and the last row leaves it
+    /// below `a·b/R + p < 2p`, which one conditional subtraction makes
+    /// canonical. (`MontCtx::new` keeps `p < R/2`, so `R − p > p`.)
+    ///
+    /// On an x86-64 CPU with BMI2 and ADX and `L = 8` this runs an
+    /// unrolled `mulx`/`adcx`/`adox` kernel; elsewhere the portable
+    /// `u128` loop. Both return the same value for every operand pair
+    /// in the contract.
     ///
     /// §3.1 observes that with a large register file and full
     /// unrolling, the separated and integrated techniques "are very
     /// similar in performance"; the separated form is
     /// `redc(mul_ps(a, b))`, with identical results.
     pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        debug_assert!(*b < self.p, "mul needs b < p");
+        debug_assert!(a.adc(&self.p, 0).1 == 0, "mul needs a < R - p");
+        #[cfg(target_arch = "x86_64")]
+        if self.carry_ise {
+            // `carry_ise` implies L == 8: each chunk is the whole array.
+            // SAFETY: `carry_ise` is set only after `new` detected BMI2
+            // and ADX on this CPU.
+            let r = unsafe {
+                mul_512_adx(
+                    a.limbs().first_chunk().expect("L == 8"),
+                    b.limbs().first_chunk().expect("L == 8"),
+                    self.p.limbs().first_chunk().expect("L == 8"),
+                    self.p_inv,
+                )
+            };
+            return Uint::from_limbs(std::array::from_fn(|i| r[i]));
+        }
+        self.mul_portable(a, b)
+    }
+
+    /// The portable CIOS body of [`MontCtx::mul`], on `u128` products;
+    /// the only path off x86-64 and the reference for the kernel.
+    fn mul_portable(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         let (a, p) = (a.limbs(), self.p.limbs());
         let mut t = [0u64; L];
         let mut extra = 0u64; // the word above t: 0 or 1 between rows
@@ -251,6 +306,202 @@ impl<const L: usize> MontCtx<L> {
     }
 }
 
+/// Whether this CPU has the x86-64 carry ISE of the `mul` kernel:
+/// BMI2 (`mulx`) and ADX (`adcx`/`adox`).
+fn has_carry_ise() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("bmi2") && std::arch::is_x86_feature_detected!("adx")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// One multiply-accumulate of the kernel: `mulx` forms `rdx·[src + off]`
+/// in `r15:rbp`, `adcx` adds the low word into `lo` on the CF chain and
+/// `adox` the high word into `hi` on the OF chain.
+#[cfg(target_arch = "x86_64")]
+#[rustfmt::skip]
+macro_rules! mac {
+    ($src:literal, $off:literal, $lo:literal, $hi:literal) => {
+        concat!(
+            "mulx r15, rbp, qword ptr [", $src, " + ", $off, "]\n",
+            "adcx ", $lo, ", rbp\n",
+            "adox ", $hi, ", r15\n",
+        )
+    };
+}
+
+/// The reduction half of a CIOS row: `m = t[0]·p'` (`p'` at `[rsp]`),
+/// then `t += m·p` (`p` at `r13`) on two carry chains. `$t0..$t8` hold
+/// `t < 2^576`, and `t + m·p` stays below `2^576`, so the OF chain ends
+/// without a carry and `adc` folds the CF chain's last carry into `$t8`
+/// without overflow. `$t0` ends at zero: the next row takes `$t1..$t8`
+/// as its value and `$t0` as its ninth word.
+#[cfg(target_arch = "x86_64")]
+#[rustfmt::skip]
+macro_rules! reduce {
+    ($t0:literal $t1:literal $t2:literal $t3:literal $t4:literal
+     $t5:literal $t6:literal $t7:literal $t8:literal) => {
+        concat!(
+            "mov rdx, ", $t0, "\n",
+            "imul rdx, qword ptr [rsp]\n",
+            "xor ebp, ebp\n",
+            mac!("r13", "0", $t0, $t1),
+            mac!("r13", "8", $t1, $t2),
+            mac!("r13", "16", $t2, $t3),
+            mac!("r13", "24", $t3, $t4),
+            mac!("r13", "32", $t4, $t5),
+            mac!("r13", "40", $t5, $t6),
+            mac!("r13", "48", $t6, $t7),
+            mac!("r13", "56", $t7, $t8),
+            "adc ", $t8, ", 0\n",
+        )
+    };
+}
+
+/// The first CIOS row: `t = a·b[0]` (`a` at `r12`, `b` at `r14`) on one
+/// carry chain, as `t` starts at zero, then the reduction half.
+#[cfg(target_arch = "x86_64")]
+#[rustfmt::skip]
+macro_rules! first_row {
+    ($t0:literal $t1:literal $t2:literal $t3:literal $t4:literal
+     $t5:literal $t6:literal $t7:literal $t8:literal) => {
+        concat!(
+            "mov rdx, qword ptr [r14]\n",
+            "xor ebp, ebp\n",
+            "mulx ", $t1, ", ", $t0, ", qword ptr [r12]\n",
+            "mulx ", $t2, ", rbp, qword ptr [r12 + 8]\n",
+            "adcx ", $t1, ", rbp\n",
+            "mulx ", $t3, ", rbp, qword ptr [r12 + 16]\n",
+            "adcx ", $t2, ", rbp\n",
+            "mulx ", $t4, ", rbp, qword ptr [r12 + 24]\n",
+            "adcx ", $t3, ", rbp\n",
+            "mulx ", $t5, ", rbp, qword ptr [r12 + 32]\n",
+            "adcx ", $t4, ", rbp\n",
+            "mulx ", $t6, ", rbp, qword ptr [r12 + 40]\n",
+            "adcx ", $t5, ", rbp\n",
+            "mulx ", $t7, ", rbp, qword ptr [r12 + 48]\n",
+            "adcx ", $t6, ", rbp\n",
+            "mulx ", $t8, ", rbp, qword ptr [r12 + 56]\n",
+            "adcx ", $t7, ", rbp\n",
+            "adc ", $t8, ", 0\n",
+            reduce!($t0 $t1 $t2 $t3 $t4 $t5 $t6 $t7 $t8),
+        )
+    };
+}
+
+/// A later CIOS row, for the word of `b` at byte offset `$b`:
+/// `t += a·b[i]` on two carry chains into the zeroed ninth word `$t8`
+/// (again below `2^576`, with the same carry argument), then the
+/// reduction half.
+#[cfg(target_arch = "x86_64")]
+#[rustfmt::skip]
+macro_rules! row {
+    ($b:literal: $t0:literal $t1:literal $t2:literal $t3:literal $t4:literal
+     $t5:literal $t6:literal $t7:literal $t8:literal) => {
+        concat!(
+            "mov rdx, qword ptr [r14 + ", $b, "]\n",
+            "xor ", $t8, ", ", $t8, "\n",
+            mac!("r12", "0", $t0, $t1),
+            mac!("r12", "8", $t1, $t2),
+            mac!("r12", "16", $t2, $t3),
+            mac!("r12", "24", $t3, $t4),
+            mac!("r12", "32", $t4, $t5),
+            mac!("r12", "40", $t5, $t6),
+            mac!("r12", "48", $t6, $t7),
+            mac!("r12", "56", $t7, $t8),
+            "adc ", $t8, ", 0\n",
+            reduce!($t0 $t1 $t2 $t3 $t4 $t5 $t6 $t7 $t8),
+        )
+    };
+}
+
+/// `a·b·2^(-512) mod p` under the operand contract of [`MontCtx::mul`]:
+/// the CIOS loop unrolled into 8 rows of `mulx`/`adcx`/`adox`, with the
+/// running value in 9 rotating registers, then a `sub`/`sbb` of `p`
+/// undone by `cmov` on borrow. No branch, and every address is a fixed
+/// offset from an operand pointer or the stack pointer.
+///
+/// # Safety
+///
+/// The CPU must support BMI2 and ADX.
+#[cfg(target_arch = "x86_64")]
+unsafe fn mul_512_adx(a: &[u64; 8], b: &[u64; 8], p: &[u64; 8], p_inv: u64) -> [u64; 8] {
+    let mut r = [0u64; 8];
+    // SAFETY: the caller guarantees BMI2 (`mulx`) and ADX (`adcx`,
+    // `adox`). The block reads only the 8 limbs of `a` (r12), `b` (r14)
+    // and `p` (r13), at fixed offsets, and writes the 8 result limbs to
+    // registers only. On the stack it keeps rbx and rbp, which it uses
+    // as scratch, `p'` and two limbs of `t`, and it frees all of it
+    // before it ends. Every other register it writes is declared.
+    // Operands outside `mul`'s contract give a wrong value, never a
+    // different access: no address depends on limb values.
+    unsafe {
+        core::arch::asm!(
+            "push rbx",
+            "push rbp",
+            "push rdx",
+            first_row!("rax" "rcx" "rsi" "rdi" "r8" "r9" "r10" "r11" "rbx"),
+            row!("8": "rcx" "rsi" "rdi" "r8" "r9" "r10" "r11" "rbx" "rax"),
+            row!("16": "rsi" "rdi" "r8" "r9" "r10" "r11" "rbx" "rax" "rcx"),
+            row!("24": "rdi" "r8" "r9" "r10" "r11" "rbx" "rax" "rcx" "rsi"),
+            row!("32": "r8" "r9" "r10" "r11" "rbx" "rax" "rcx" "rsi" "rdi"),
+            row!("40": "r9" "r10" "r11" "rbx" "rax" "rcx" "rsi" "rdi" "r8"),
+            row!("48": "r10" "r11" "rbx" "rax" "rcx" "rsi" "rdi" "r8" "r9"),
+            row!("56": "r11" "rbx" "rax" "rcx" "rsi" "rdi" "r8" "r9" "r10"),
+            // t = rbx:rax:rcx:rsi:rdi:r8:r9:r10 (low word first) < 2p.
+            // s = t − p: the low six limbs into free registers, the top
+            // two in place with their t limbs saved on the stack.
+            "push r9",
+            "push r10",
+            "mov rdx, rbx",
+            "sub rdx, qword ptr [r13]",
+            "mov r11, rax",
+            "sbb r11, qword ptr [r13 + 8]",
+            "mov r12, rcx",
+            "sbb r12, qword ptr [r13 + 16]",
+            "mov r14, rsi",
+            "sbb r14, qword ptr [r13 + 24]",
+            "mov r15, rdi",
+            "sbb r15, qword ptr [r13 + 32]",
+            "mov rbp, r8",
+            "sbb rbp, qword ptr [r13 + 40]",
+            "sbb r9, qword ptr [r13 + 48]",
+            "sbb r10, qword ptr [r13 + 56]",
+            // Borrow (CF): t < p, keep t; otherwise take s.
+            "cmovnc rbx, rdx",
+            "cmovnc rax, r11",
+            "cmovnc rcx, r12",
+            "cmovnc rsi, r14",
+            "cmovnc rdi, r15",
+            "cmovnc r8, rbp",
+            "cmovc r10, qword ptr [rsp]",
+            "cmovc r9, qword ptr [rsp + 8]",
+            "mov r11, rbx",
+            "add rsp, 24",
+            "pop rbp",
+            "pop rbx",
+            inout("r12") a.as_ptr() => _,
+            inout("r14") b.as_ptr() => _,
+            in("r13") p.as_ptr(),
+            inout("rdx") p_inv => _,
+            out("r15") _,
+            lateout("r11") r[0],
+            lateout("rax") r[1],
+            lateout("rcx") r[2],
+            lateout("rsi") r[3],
+            lateout("rdi") r[4],
+            lateout("r8") r[5],
+            lateout("r9") r[6],
+            lateout("r10") r[7],
+        );
+    }
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +513,108 @@ mod tests {
     fn p25519() -> U256 {
         U256::from_hex("0x7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed")
             .unwrap()
+    }
+
+    /// The CSIDH-512 prime, the 512-bit modulus of the x86-64 kernel.
+    fn p512() -> Uint<8> {
+        Uint::from_limbs([
+            0x1b81b90533c6c87b,
+            0xc2721bf457aca835,
+            0x516730cc1f0b4f25,
+            0xa7aac6c567f35507,
+            0x5afbfcc69322c9cd,
+            0xb42d083aedc88c42,
+            0xfc8ab0d15e3e4c4a,
+            0x65b48e8f740f89bf,
+        ])
+    }
+
+    #[test]
+    fn carry_ise_kernel_matches_portable_cios() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let p = p512();
+        let ctx = MontCtx::new(p).unwrap();
+        assert_eq!(
+            ctx.carry_ise,
+            has_carry_ise(),
+            "L = 8 runs the kernel iff the CPU has it"
+        );
+        // Portable half, on every host: CIOS equals the separated form.
+        // Kernel half, where the CPU has BMI2 + ADX: `mul`/`sqr` (the
+        // kernel) equal the portable CIOS bit for bit.
+        let check = |a: &Uint<8>, b: &Uint<8>| {
+            let (lo, hi) = mul_ps(a, b);
+            let want = ctx.mul_portable(a, b);
+            assert_eq!(want, ctx.redc(&lo, &hi), "portable a={a} b={b}");
+            if ctx.carry_ise {
+                assert_eq!(ctx.mul(a, b), want, "kernel a={a} b={b}");
+            }
+        };
+        let check_sqr = |a: &Uint<8>| {
+            let (lo, hi) = square_ps(a);
+            let want = ctx.mul_portable(a, a);
+            assert_eq!(want, ctx.redc(&lo, &hi), "portable a={a}");
+            if ctx.carry_ise {
+                assert_eq!(ctx.sqr(a), want, "kernel a={a}");
+            }
+        };
+
+        let one = Uint::ONE;
+        let mut edges = vec![Uint::ZERO, one, p.wrapping_sub(&one), *ctx.one(), *ctx.r2()];
+        // All-ones limbs below p: the low k limbs, and all but a top limb
+        // of p[7] − 1.
+        for k in 1..8 {
+            edges.push(Uint::from_limbs(std::array::from_fn(|i| {
+                if i < k {
+                    u64::MAX
+                } else {
+                    0
+                }
+            })));
+        }
+        let mut top = [u64::MAX; 8];
+        top[7] = p.limb(7) - 1;
+        edges.push(Uint::from_limbs(top));
+        for a in &edges {
+            assert!(*a < p);
+            check_sqr(a);
+            for b in &edges {
+                check(a, b);
+            }
+        }
+        // The largest `a` that `to_mont` passes after its fold, R − p − 1,
+        // times r2, and times every edge.
+        let a_max = Uint::ZERO.wrapping_sub(&p).wrapping_sub(&one);
+        assert_eq!(
+            fast_reduce_swap(&Uint::from_limbs([u64::MAX; 8]), &p),
+            a_max
+        );
+        for b in &edges {
+            check(&a_max, b);
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x5eed_adc5);
+        let n = 100_000;
+        for _ in 0..n {
+            let wide = Uint::from_limbs(std::array::from_fn(|_| rng.gen()));
+            let a = fast_reduce_swap(&wide, &p); // below R − p
+            let b = fast_reduce_swap(
+                &Uint::from_limbs(std::array::from_fn(|_| rng.gen())).shr(1),
+                &p,
+            );
+            check(&a, &b);
+            check_sqr(&b);
+        }
+        eprintln!(
+            "portable CIOS: ran ({} edge pairs, {n} random mul + sqr); mulx/adcx/adox kernel: {}",
+            edges.len() * (edges.len() + 1),
+            if ctx.carry_ise {
+                "ran, same cases"
+            } else {
+                "skipped, CPU lacks BMI2 or ADX"
+            }
+        );
     }
 
     #[test]
